@@ -26,12 +26,20 @@
 // with sharding enabled they are served by a dedicated serve-only core
 // fed after each shard's dependent pass; with one shard the single core
 // serves both, exactly as before.
+//
+// A batch crosses one channel per overlay hop: the parent shard's worker
+// sends straight into the child shard's inbox, the only buffer on an
+// edge. The hop's communication delay is stamped on the batch at send and
+// honoured by the receiving worker, so delays on one edge overlap while
+// its FIFO order holds. The receiver recycles each handled batch's update
+// buffer for the next fan-out pass anywhere in the cluster.
 package live
 
 import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"d3t/internal/ingest"
@@ -46,15 +54,17 @@ import (
 
 // Options configures a live cluster.
 type Options struct {
-	// CommDelay is applied to every update hop; CompDelay is the per-copy
-	// processing cost at a node. Both may be zero for fastest delivery.
+	// CommDelay is applied to every hop (stamped at send, honoured at
+	// receipt); CompDelay is the per-copy processing cost at a node. Both
+	// may be zero for fastest delivery.
 	CommDelay time.Duration
 	CompDelay time.Duration
 	// OnDeliver, when set, observes every delivery at a repository. It is
 	// called from node goroutines and must be safe for concurrent use.
 	OnDeliver func(repo repository.ID, item string, value float64)
-	// Buffer is the per-node inbox size (default 256). A full inbox
-	// applies backpressure to the sender, mirroring a congested node.
+	// Buffer is the per-(node, shard) inbox size (default 256), the only
+	// buffer on an edge. A full inbox applies backpressure to the sender,
+	// mirroring a congested node.
 	Buffer int
 
 	// Shards splits every node into per-item-shard cores fed by batch
@@ -123,6 +133,9 @@ type Cluster struct {
 	done    chan struct{}
 	wg      sync.WaitGroup
 
+	// bufs recycles the update buffers batches carry (see upBuf).
+	bufs sync.Pool
+
 	// topoMu guards the overlay wiring (Parents/Dependents/Serving) and
 	// session placement: failure repair rewires the overlay while node
 	// goroutines read it, and migration moves sessions between node
@@ -159,10 +172,34 @@ type batch struct {
 	from      repository.ID
 	heartbeat bool
 	ups       []upd
+	buf       *upBuf    // pooled holder of ups (nil when ups was not pooled)
+	due       time.Time // the receiver holds the batch until then (zero: no delay)
 
 	sent sim.Time // cluster time the sender handed the batch to the edge
 	born sim.Time // cluster time the batch's tick entered at the source
 	tid  uint64   // sampled trace id (0 = untraced)
+}
+
+// upBuf holds a batch's update buffer while it sits in Cluster.bufs. The
+// pool stores the pointer, which travels with the batch, so returning a
+// buffer never allocates (boxing a bare slice into the pool would).
+type upBuf struct{ ups []upd }
+
+// getBuf takes an empty update buffer from the pool.
+func (c *Cluster) getBuf() *upBuf {
+	if b, ok := c.bufs.Get().(*upBuf); ok {
+		return b
+	}
+	return new(upBuf)
+}
+
+// recycle returns a handled batch's buffer to the pool, unless one huge
+// published batch would pin its memory for every later small fan-out.
+func (c *Cluster) recycle(b batch) {
+	if b.buf != nil && cap(b.ups) <= 4096 {
+		b.buf.ups = b.ups[:0]
+		c.bufs.Put(b.buf)
+	}
 }
 
 // node is one overlay repository: per-shard cores and channels, plus the
@@ -170,12 +207,14 @@ type batch struct {
 type node struct {
 	repo *repository.Repository
 
-	// mu guards dead and lastHeard — and, with sharding enabled, the
-	// dedicated session core. With one shard, session state is guarded
-	// by the single shard's mutex instead (one lock per node, exactly
-	// the pre-sharding discipline).
+	// dead marks a crashed repository (see Crash).
+	dead atomic.Bool
+
+	// mu guards lastHeard — and, with sharding enabled, the dedicated
+	// session core. With one shard, session state is guarded by the
+	// single shard's mutex instead (one lock per node, exactly the
+	// pre-sharding discipline).
 	mu        sync.Mutex
-	dead      bool
 	lastHeard map[repository.ID]time.Time
 
 	// obs is the node's observer (nil when Options.Obs is unset); the
@@ -195,22 +234,17 @@ type node struct {
 }
 
 // nodeShard is one item partition of a node: its own core (values,
-// per-edge filter state for the shard's items), batch inbox, and batch
-// out channels (one per dependent).
+// per-edge filter state for the shard's items) and batch inbox. Parents'
+// shards of the same index send into the inbox directly.
 type nodeShard struct {
+	idx  int // the shard's index, the same at every node
 	mu   sync.Mutex
 	core *dnode.Core
 	in   chan batch
-	out  map[repository.ID]chan batch
 	tr   transport
 	// log is the shard's write-ahead log (nil without durability); it is
 	// guarded by mu, the same lock that guards the core it shadows.
 	log *wal.Log
-	// sends is the worker's per-dependent grouping scratch, reused across
-	// handleBatch passes (only the shard's own worker touches it). The
-	// ups slices inside are NOT reused: ownership transfers to the
-	// receiving shard on send.
-	sends []depSend
 }
 
 // sessionCore returns the mutex and core that own the node's client
@@ -227,26 +261,22 @@ func (n *node) shardOf(item string) *nodeShard {
 	return n.shards[ingest.ShardOf(item, len(n.shards))]
 }
 
-// pendSend is one collected dependent copy awaiting the post-lock flush.
-type pendSend struct {
-	ch chan batch
-	u  upd
-}
-
-// depSend is one flushed per-dependent batch.
+// depSend is one per-dependent batch a fan-out pass collects.
 type depSend struct {
 	ch  chan batch
-	ups []upd
+	buf *upBuf
 }
 
-// transport adapts one core's decisions to channels. Dependent sends are
-// collected and flushed after the locks drop (a full peer inbox applies
-// backpressure and must not be awaited under a mutex); session pushes
-// are non-blocking and happen inline.
+// transport adapts one core's decisions to channels. Dependent copies
+// are grouped into one pooled buffer per dependent inbox, in
+// first-forward order, and flushed after the locks drop (a full peer
+// inbox applies backpressure and must not be awaited under a mutex); the
+// receiving shard owns each buffer after the send and recycles it.
+// Session pushes are non-blocking and happen inline.
 type transport struct {
-	c       *Cluster
-	sh      *nodeShard // nil for the dedicated session core
-	pending []pendSend
+	c     *Cluster
+	sh    *nodeShard // nil for the dedicated session core
+	sends []depSend  // the pass's batches, reused across passes by the shard's worker
 }
 
 func (t *transport) Now() sim.Time { return t.c.now() }
@@ -263,11 +293,20 @@ func (t *transport) SendToDependent(dep repository.ID, item string, v float64, r
 	if t.sh == nil {
 		return false // serve-only session core never fans to dependents
 	}
-	ch := t.sh.out[dep]
-	if ch == nil {
+	child := t.c.nodes[dep]
+	if child == nil {
 		return false
 	}
-	t.pending = append(t.pending, pendSend{ch, upd{item, v}})
+	ch, u := child.shards[t.sh.idx].in, upd{item, v}
+	for _, s := range t.sends {
+		if s.ch == ch {
+			s.buf.ups = append(s.buf.ups, u)
+			return true
+		}
+	}
+	buf := t.c.getBuf()
+	buf.ups = append(buf.ups, u)
+	t.sends = append(t.sends, depSend{ch, buf})
 	return true
 }
 
@@ -366,18 +405,11 @@ func NewCluster(o *tree.Overlay, opts Options) *Cluster {
 				shOpts.SessionCap = opts.SessionCap
 			}
 			sh := &nodeShard{
+				idx:  s,
 				core: dnode.New(r, o.Node, shOpts),
 				in:   make(chan batch, opts.Buffer),
-				out:  make(map[repository.ID]chan batch),
 			}
 			sh.tr.c, sh.tr.sh = c, sh
-			for _, deps := range r.Dependents {
-				for _, dep := range deps {
-					if _, ok := sh.out[dep]; !ok {
-						sh.out[dep] = make(chan batch, opts.Buffer)
-					}
-				}
-			}
 			n.shards[s] = sh
 		}
 		if nshards > 1 {
@@ -398,34 +430,24 @@ func NewCluster(o *tree.Overlay, opts Options) *Cluster {
 	return c
 }
 
-// Start launches one worker goroutine per (node, shard) plus one
-// forwarder per (overlay edge, shard) — and, when failure handling is
-// armed, one heartbeater and one watchdog per node. It must be called
-// once.
+// Start launches one worker goroutine per (node, shard) — and, when
+// failure handling is armed, one heartbeater and one watchdog per node.
+// Edges need no goroutine of their own: a parent's worker sends into the
+// child's inbox. It must be called once.
 func (c *Cluster) Start() {
 	now := c.clock()
 	for _, n := range c.nodes {
-		n := n
 		n.mu.Lock()
 		for _, pid := range c.overlay.ParentsOf(n.repo.ID) {
 			n.lastHeard[pid] = now // grace period: silence counts from start
 		}
 		n.mu.Unlock()
-		for si, sh := range n.shards {
-			sh := sh
+		for _, sh := range n.shards {
 			c.wg.Add(1)
 			go func() {
 				defer c.wg.Done()
 				c.runShard(n, sh)
 			}()
-			for dep, ch := range sh.out {
-				child, ch, si := c.nodes[dep], ch, si
-				c.wg.Add(1)
-				go func() {
-					defer c.wg.Done()
-					c.forwardLoop(ch, child, si)
-				}()
-			}
 		}
 		if c.opts.Heartbeat > 0 {
 			c.wg.Add(1)
@@ -453,34 +475,24 @@ func (c *Cluster) Start() {
 	}
 }
 
-// forwardLoop ships batches over one (edge, shard) in FIFO order,
-// applying the wire delay per batch.
-func (c *Cluster) forwardLoop(ch chan batch, child *node, shard int) {
-	var timer *time.Timer
-	for {
-		select {
-		case <-c.done:
-			return
-		case b := <-ch:
-			if c.opts.CommDelay > 0 {
-				if timer == nil {
-					timer = time.NewTimer(c.opts.CommDelay)
-					defer timer.Stop()
-				} else {
-					timer.Reset(c.opts.CommDelay)
-				}
-				select {
-				case <-c.done:
-					return
-				case <-timer.C:
-				}
-			}
-			select {
-			case child.shards[shard].in <- b:
-			case <-c.done:
-				return
-			}
-		}
+// send hands b to an inbox, due delay from now (see runShard). The first
+// attempt touches only the inbox; only a full inbox also waits on the
+// cluster-wide done channel, whose lock every worker would otherwise
+// share. It returns false once the cluster is stopped.
+func (c *Cluster) send(ch chan<- batch, b batch, delay time.Duration) bool {
+	if delay > 0 {
+		b.due = time.Now().Add(delay)
+	}
+	select {
+	case ch <- b:
+		return true
+	default:
+	}
+	select {
+	case ch <- b:
+		return true
+	case <-c.done:
+		return false
 	}
 }
 
@@ -522,27 +534,28 @@ func (c *Cluster) PublishBatch(ups []Update) bool {
 	default:
 	}
 	src := c.nodes[repository.SourceID]
-	perShard := make([][]upd, len(src.shards))
+	perShard := make([]*upBuf, len(src.shards))
 	for _, i := range dnode.CoalesceBatch(len(ups), func(i int) string { return ups[i].Item }) {
 		s := ingest.ShardOf(ups[i].Item, len(src.shards))
-		perShard[s] = append(perShard[s], upd{ups[i].Item, ups[i].Value})
+		if perShard[s] == nil {
+			perShard[s] = c.getBuf()
+		}
+		perShard[s].ups = append(perShard[s].ups, upd{ups[i].Item, ups[i].Value})
 	}
-	for s, b := range perShard {
-		if len(b) == 0 {
+	for s, buf := range perShard {
+		if buf == nil {
 			continue
 		}
-		out := batch{ups: b}
+		out := batch{ups: buf.ups, buf: buf}
 		if src.obs != nil {
 			// Stamp the tick's birth time and maybe sample a trace; the
 			// source "hop" (publish to source receipt) is skipped by
 			// handleBatch because from == the source's own id.
 			now := c.now()
 			out.sent, out.born = now, now
-			out.tid = c.opts.Obs.TracerOrNil().Sample(b[0].item, repository.SourceID, int64(now))
+			out.tid = c.opts.Obs.TracerOrNil().Sample(buf.ups[0].item, repository.SourceID, int64(now))
 		}
-		select {
-		case src.shards[s].in <- out:
-		case <-c.done:
+		if !c.send(src.shards[s].in, out, 0) {
 			return false
 		}
 	}
@@ -577,18 +590,38 @@ func (c *Cluster) Seed(item string, value float64) {
 	}
 }
 
-// runShard is the per-(node, shard) worker body: receive a batch,
-// record, filter, forward. A crashed node keeps draining its inboxes —
-// a dead process's peers are not blocked by it — but drops everything on
-// the floor.
+// runShard is the per-(node, shard) worker body: receive a batch, hold
+// it until its hop delay has passed, record, filter, forward, and recycle
+// its buffer. A crashed node keeps draining its inboxes — a dead
+// process's peers are not blocked by it — but drops everything on the
+// floor.
 func (c *Cluster) runShard(n *node, sh *nodeShard) {
 	for {
+		// Like send, try the inbox alone before waiting on done too.
+		var b batch
 		select {
-		case <-c.done:
-			return
-		case b := <-sh.in:
-			c.handleBatch(n, sh, b)
+		case b = <-sh.in:
+		default:
+			select {
+			case b = <-sh.in:
+			case <-c.done:
+				return
+			}
 		}
+		if !b.due.IsZero() {
+			select {
+			case <-time.After(time.Until(b.due)):
+			case <-c.done:
+				return
+			}
+		}
+		select {
+		case <-c.done: // a stopped cluster handles nothing more, however full the inbox
+			return
+		default:
+		}
+		c.handleBatch(n, sh, b)
+		c.recycle(b)
 	}
 }
 
@@ -598,17 +631,20 @@ func (c *Cluster) runShard(n *node, sh *nodeShard) {
 // per-client ones — while the wiring is stable under the locks; the
 // (blocking) channel sends to dependents happen after they drop.
 func (c *Cluster) handleBatch(n *node, sh *nodeShard, b batch) {
-	c.topoMu.RLock()
-	n.mu.Lock()
-	dead := n.dead
-	if !dead {
-		n.lastHeard[b.from] = c.clock()
-	}
-	n.mu.Unlock()
-	if dead || b.heartbeat {
-		c.topoMu.RUnlock()
+	if n.dead.Load() {
 		return
 	}
+	if c.opts.FailWindow > 0 {
+		// Parent liveness is read only by the armed watchdog, so an
+		// unarmed cluster skips the clock read and the map write.
+		n.mu.Lock()
+		n.lastHeard[b.from] = c.clock()
+		n.mu.Unlock()
+	}
+	if b.heartbeat {
+		return
+	}
+	c.topoMu.RLock()
 	if n.obs != nil {
 		now := c.now()
 		n.obs.Batch(len(b.ups))
@@ -624,7 +660,7 @@ func (c *Cluster) handleBatch(n *node, sh *nodeShard, b batch) {
 		}
 	}
 	sh.mu.Lock()
-	sh.tr.pending = sh.tr.pending[:0]
+	sh.tr.sends = sh.tr.sends[:0]
 	for _, u := range b.ups {
 		sh.core.Apply(u.item, u.value, &sh.tr)
 	}
@@ -640,7 +676,7 @@ func (c *Cluster) handleBatch(n *node, sh *nodeShard, b batch) {
 			c.noteWALErr(err)
 		}
 	}
-	sends := sh.groupSends()
+	sends := sh.tr.sends
 	sh.mu.Unlock()
 	if n.sessCore != nil {
 		// Sharded nodes fan the batch to client sessions through the
@@ -663,41 +699,19 @@ func (c *Cluster) handleBatch(n *node, sh *nodeShard, b batch) {
 		if c.opts.CompDelay > 0 {
 			// Serial per-copy processing cost, charged per update in the
 			// batch.
-			time.Sleep(time.Duration(len(s.ups)) * c.opts.CompDelay)
+			time.Sleep(time.Duration(len(s.buf.ups)) * c.opts.CompDelay)
 		}
-		out := batch{from: n.repo.ID, ups: s.ups}
+		out := batch{from: n.repo.ID, ups: s.buf.ups, buf: s.buf}
 		if n.obs != nil {
 			// Restamp the flush time (the hop downstream measures) and
 			// carry the tick's birth stamp and trace id along, so a
 			// sampled trace accumulates the whole fan-out tree.
 			out.sent, out.born, out.tid = c.now(), b.born, b.tid
 		}
-		select {
-		case s.ch <- out:
-		case <-c.done:
+		if !c.send(s.ch, out, c.opts.CommDelay) {
 			return
 		}
 	}
-}
-
-// groupSends folds the pass's collected copies into one batch per
-// dependent channel, in first-forward order, reusing the shard's scratch
-// slice. The per-dependent ups slices are freshly allocated because the
-// receiving shard owns them after the send; the returned slice is valid
-// until the worker's next pass (only the shard's own worker calls this).
-func (sh *nodeShard) groupSends() []depSend {
-	sh.sends = sh.sends[:0]
-outer:
-	for _, p := range sh.tr.pending {
-		for i := range sh.sends {
-			if sh.sends[i].ch == p.ch {
-				sh.sends[i].ups = append(sh.sends[i].ups, p.u)
-				continue outer
-			}
-		}
-		sh.sends = append(sh.sends, depSend{ch: p.ch, ups: append(make([]upd, 0, 4), p.u)})
-	}
-	return sh.sends
 }
 
 // Crash takes a repository down: it stops handling, forwarding and
@@ -709,9 +723,7 @@ func (c *Cluster) Crash(id repository.ID) bool {
 	if !ok || n.repo.IsSource() {
 		return false
 	}
-	n.mu.Lock()
-	n.dead = true
-	n.mu.Unlock()
+	n.dead.Store(true)
 	return true
 }
 
@@ -733,24 +745,15 @@ func (c *Cluster) heartbeatLoop(n *node) {
 			return
 		case <-ticker.C:
 		}
-		n.mu.Lock()
-		dead := n.dead
-		n.mu.Unlock()
-		if dead {
+		if n.dead.Load() {
 			continue
 		}
 		c.topoMu.RLock()
 		// Keep-alives ride shard 0: parent liveness is node-level state,
-		// so one shard's channel suffices.
-		sh0 := n.shards[0]
+		// so one shard's inbox suffices.
 		var chans []chan batch
 		for _, dep := range c.overlay.ChildrenOf(n.repo.ID) {
-			sh0.mu.Lock()
-			ch := sh0.out[dep]
-			sh0.mu.Unlock()
-			if ch != nil {
-				chans = append(chans, ch)
-			}
+			chans = append(chans, c.nodes[dep].shards[0].in)
 		}
 		// A live repository's keep-alive also reassures its sessions:
 		// refresh their service clocks so the session watchdog does not
@@ -761,9 +764,7 @@ func (c *Cluster) heartbeatLoop(n *node) {
 		smu.Unlock()
 		c.topoMu.RUnlock()
 		for _, ch := range chans {
-			select {
-			case ch <- hb:
-			case <-c.done:
+			if !c.send(ch, hb, c.opts.CommDelay) {
 				return
 			}
 		}
@@ -780,8 +781,10 @@ func (c *Cluster) watchdogLoop(n *node) {
 			return
 		case <-ticker.C:
 		}
+		if n.dead.Load() {
+			continue
+		}
 		n.mu.Lock()
-		dead := n.dead
 		var stale []repository.ID
 		now := c.clock()
 		for pid, heard := range n.lastHeard {
@@ -790,9 +793,6 @@ func (c *Cluster) watchdogLoop(n *node) {
 			}
 		}
 		n.mu.Unlock()
-		if dead {
-			continue
-		}
 		sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
 		for _, pid := range stale {
 			c.failover(n, pid)
@@ -807,11 +807,7 @@ func (c *Cluster) watchdogLoop(n *node) {
 // item has moved). The backup's core seeds the revived edge with the
 // synced value, so the first post-resync update filters correctly.
 func (c *Cluster) failover(n *node, deadPID repository.ID) {
-	type syncSend struct {
-		ch chan batch
-		b  batch
-	}
-	var syncs []syncSend
+	var syncs []batch
 
 	c.topoMu.Lock()
 	var items []string
@@ -847,39 +843,22 @@ func (c *Cluster) failover(n *node, deadPID repository.ID) {
 			if bn == nil {
 				continue
 			}
-			bn.mu.Lock()
-			bDead := bn.dead
-			bn.mu.Unlock()
 			bRepo := c.overlay.Node(b)
-			if bDead || !bRepo.CanServe(x, cDep) || !bRepo.HasCapacityFor(n.repo.ID) {
+			if bn.dead.Load() || !bRepo.CanServe(x, cDep) || !bRepo.HasCapacityFor(n.repo.ID) {
 				continue
 			}
-			// Adopt: rewire the overlay edge and make sure forwarders
-			// exist for it on every shard (updates ride the item's shard,
-			// keep-alives ride shard 0), then queue a sync push of the
-			// backup's current copy so the dependent converges
-			// immediately.
+			// Adopt: rewire the overlay edge — the backup's shards send
+			// into n's inboxes directly, so the new edge needs no
+			// goroutine — then queue a sync push of the backup's current
+			// copy so the dependent converges immediately.
 			bRepo.AddDependent(x, n.repo.ID)
 			n.repo.Parents[x] = b
 			moved = true
-			for si, bsh := range bn.shards {
-				bsh.mu.Lock()
-				if bsh.out[n.repo.ID] == nil {
-					ch := make(chan batch, c.opts.Buffer)
-					bsh.out[n.repo.ID] = ch
-					c.wg.Add(1)
-					go func(si int) {
-						defer c.wg.Done()
-						c.forwardLoop(ch, n, si)
-					}(si)
-				}
-				bsh.mu.Unlock()
-			}
 			bsh := bn.shardOf(x)
 			bsh.mu.Lock()
 			if v, hasV := bsh.core.Value(x); hasV {
 				bsh.core.ResetEdge(n.repo.ID, x, v)
-				syncs = append(syncs, syncSend{bsh.out[n.repo.ID], batch{from: b, ups: []upd{{x, v}}}})
+				syncs = append(syncs, batch{from: b, ups: []upd{{x, v}}})
 			}
 			bsh.mu.Unlock()
 			n.mu.Lock()
@@ -894,9 +873,7 @@ func (c *Cluster) failover(n *node, deadPID repository.ID) {
 	c.topoMu.Unlock()
 
 	for _, s := range syncs {
-		select {
-		case s.ch <- s.b:
-		case <-c.done:
+		if !c.send(n.shardOf(s.ups[0].item).in, s, c.opts.CommDelay) {
 			return
 		}
 	}

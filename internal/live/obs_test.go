@@ -57,7 +57,11 @@ func TestClusterObsRecords(t *testing.T) {
 	o := chainOverlay(t)
 	tree := obs.NewTree()
 	tree.Tracer = obs.NewTracer(1)
-	c := NewCluster(o, Options{Obs: tree, CommDelay: 2 * time.Millisecond})
+	// The wire delay sits on a histogram bucket boundary (buckets are
+	// [2^(b-1), 2^b) µs, reported by midpoint), so every hop, which is at
+	// least the delay, reads as at least 2ms. At exactly 2ms, hops of
+	// 2.000-2.047ms fell into the bucket reported as 1.536ms.
+	c := NewCluster(o, Options{Obs: tree, CommDelay: 2048 * time.Microsecond})
 	c.Seed("X", 100)
 	c.Start()
 	defer c.Stop()
