@@ -8,19 +8,21 @@ import (
 	"testing"
 )
 
-// The goldens under testdata/figures were rendered before the query
-// layer existed; regenerate with -update-figure-goldens only for an
+// The goldens under testdata/figures pin every registry figure at
+// tinyScale; regenerate with -update-figure-goldens only for an
 // intentional, reviewed output change.
 var updateFigureGoldens = flag.Bool("update-figure-goldens", false,
 	"rewrite testdata/figures/*.golden from the current figure output")
 
-// TestQueryDisabledByteIdentical pins the passive contract of the query
-// layer: with Config.Queries unset (the default — tinyScale sets no
-// query specs), every pre-existing registry figure renders byte-identical
-// to the goldens captured before the query subsystem landed. Attaching
-// derived-data queries reshapes repository needs and the overlay, so the
-// layer must be provably inert when unused — the same contract
-// TestObsDisabledByteIdentical enforces for observability.
+// TestQueryDisabledByteIdentical pins every registry figure byte for
+// byte. With Config.Queries unset (the default — tinyScale sets no query
+// specs) the pre-query figures render exactly as they did before the
+// query subsystem landed: attaching derived-data queries reshapes
+// repository needs and the overlay, so the layer must be provably inert
+// when unused — the same contract TestObsDisabledByteIdentical enforces
+// for observability. The query, virtual-serving and disk-recovery
+// figures are pinned too, so refactors of the layers they exercise must
+// keep their output exact.
 func TestQueryDisabledByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure sweeps are slow")
@@ -38,9 +40,6 @@ func TestQueryDisabledByteIdentical(t *testing.T) {
 		covered[figureIDFromGolden(path)] = true
 	}
 	for id, fn := range registry {
-		if bornAfterGoldens(id) {
-			continue // born after the goldens were captured: no pre-existing form
-		}
 		if !*updateFigureGoldens && !covered[id] {
 			t.Errorf("figure %s has no golden; run with -update-figure-goldens", id)
 			continue
@@ -71,7 +70,7 @@ func TestQueryDisabledByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("figure %s output drifted from its pre-query golden:\n--- golden ---\n%s\n--- got ---\n%s",
+				t.Errorf("figure %s output drifted from its golden:\n--- golden ---\n%s\n--- got ---\n%s",
 					id, want, buf.Bytes())
 			}
 		})
@@ -82,18 +81,4 @@ func TestQueryDisabledByteIdentical(t *testing.T) {
 func figureIDFromGolden(path string) string {
 	base := filepath.Base(path)
 	return base[:len(base)-len(".golden")]
-}
-
-// bornAfterGoldens reports whether the figure id belongs to a layer that
-// landed after the goldens were captured (query figures require Queries
-// set; vserve figures require VirtualSessions set) — those have no
-// pre-existing form to compare against. Every other figure must stay
-// byte-identical with both layers disabled.
-func bornAfterGoldens(id string) bool {
-	switch id {
-	case "query-fidelity", "query-cost", "vserve-scale", "vserve-flash",
-		"res-recovery-disk":
-		return true
-	}
-	return false
 }
