@@ -17,7 +17,10 @@
 // Benchmarks present only in the current run — freshly added, not yet in
 // the committed baseline — are reported as "new (no baseline)" and
 // excluded from the verdict, so adding a benchmark never trips the
-// guardrail before the baseline is refreshed.
+// guardrail before the baseline is refreshed. Benchmarks present only in
+// the baseline — deleted or renamed since — are reported as "removed (no
+// current run)", also without a verdict, so a benchmark cannot vanish
+// from the report silently.
 //
 // Every run prints a per-benchmark delta table (name, old, new,
 // normalized delta %). Exit status distinguishes the outcomes: 0 when
@@ -118,26 +121,31 @@ func parseFile(path string) (map[string]float64, error) {
 // verdict is one benchmark's comparison. tripped means the normalized
 // ratio left the tolerance band in either direction; regressed and
 // improved record which. isNew marks a benchmark present in the current
-// run but absent from the baseline: it is reported but carries no
-// verdict — a freshly added benchmark has nothing to regress against,
-// and must not distort the comparison of the shared set.
+// run but absent from the baseline, isRemoved one present in the
+// baseline but absent from the current run: both are reported but carry
+// no verdict — a freshly added benchmark has nothing to regress against,
+// a removed one nothing to compare, and neither may distort the
+// comparison of the shared set.
 type verdict struct {
 	name                string
 	base, cur           float64
 	ratio, normalized   float64
 	tripped, tooSmall   bool
 	regressed, improved bool
-	isNew               bool
+	isNew, isRemoved    bool
 }
 
 // compare evaluates every benchmark present in both runs, and appends
 // verdict-free "new (no baseline)" rows for benchmarks only the current
-// run has.
+// run has and "removed (no current run)" rows for benchmarks only the
+// baseline has.
 func compare(base, cur map[string]float64, tolerance, minNs float64, normalize bool) []verdict {
-	var names, fresh []string
+	var names, fresh, gone []string
 	for name := range base {
 		if _, ok := cur[name]; ok {
 			names = append(names, name)
+		} else {
+			gone = append(gone, name)
 		}
 	}
 	for name := range cur {
@@ -147,15 +155,18 @@ func compare(base, cur map[string]float64, tolerance, minNs float64, normalize b
 	}
 	sort.Strings(names)
 	sort.Strings(fresh)
-	if len(names) == 0 && len(fresh) == 0 {
-		return nil
-	}
-	if len(names) == 0 {
-		out := make([]verdict, 0, len(fresh))
+	sort.Strings(gone)
+	unmatched := func(out []verdict) []verdict {
 		for _, name := range fresh {
 			out = append(out, verdict{name: name, cur: cur[name], isNew: true})
 		}
+		for _, name := range gone {
+			out = append(out, verdict{name: name, base: base[name], isRemoved: true})
+		}
 		return out
+	}
+	if len(names) == 0 {
+		return unmatched(nil)
 	}
 	ratios := make([]float64, 0, len(names))
 	for _, name := range names {
@@ -197,10 +208,7 @@ func compare(base, cur map[string]float64, tolerance, minNs float64, normalize b
 		}
 		out = append(out, v)
 	}
-	for _, name := range fresh {
-		out = append(out, verdict{name: name, cur: cur[name], isNew: true})
-	}
-	return out
+	return unmatched(out)
 }
 
 // dropMatching removes benchmarks whose name matches the skip pattern.
@@ -242,11 +250,14 @@ func main() {
 		dropMatching(cur, re)
 	}
 	verdicts := compare(base, cur, *tolerance, *minNs, !*noNormalize)
-	shared, added := 0, 0
+	shared, added, removed := 0, 0, 0
 	for _, v := range verdicts {
-		if v.isNew {
+		switch {
+		case v.isNew:
 			added++
-		} else {
+		case v.isRemoved:
+			removed++
+		default:
 			shared++
 		}
 	}
@@ -260,6 +271,11 @@ func main() {
 		if v.isNew {
 			fmt.Printf("%-60s %12s %12.0f %8s  %s\n",
 				v.name, "-", v.cur, "-", "new (no baseline)")
+			continue
+		}
+		if v.isRemoved {
+			fmt.Printf("%-60s %12.0f %12s %8s  %s\n",
+				v.name, v.base, "-", "-", "removed (no current run)")
 			continue
 		}
 		status := "ok"
@@ -276,8 +292,8 @@ func main() {
 		fmt.Printf("%-60s %12.0f %12.0f %+7.1f%%  %s\n",
 			v.name, v.base, v.cur, (v.normalized-1)*100, status)
 	}
-	fmt.Printf("benchdiff: %d shared benchmarks (%d new, excluded), %d regressed, %d improved beyond ±%.0f%% (normalized delta shown)\n",
-		shared, added, regressed, improved, *tolerance*100)
+	fmt.Printf("benchdiff: %d shared benchmarks (%d new, %d removed, excluded), %d regressed, %d improved beyond ±%.0f%% (normalized delta shown)\n",
+		shared, added, removed, regressed, improved, *tolerance*100)
 	switch {
 	case regressed > 0:
 		os.Exit(1) // regressions dominate: fail the guardrail

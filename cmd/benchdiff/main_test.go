@@ -45,8 +45,8 @@ func TestCompareNormalizes(t *testing.T) {
 	// regressed 4x — and D, which is below min-ns and must never trip.
 	cur := map[string]float64{"A": 20e6, "B": 40e6, "C": 120e6, "D": 50e3, "onlyCur": 1e6}
 	vs := compare(base, cur, 0.30, 1e6, true)
-	if len(vs) != 5 {
-		t.Fatalf("compared %d benchmarks, want 4 shared + 1 new", len(vs))
+	if len(vs) != 6 {
+		t.Fatalf("compared %d benchmarks, want 4 shared + 1 new + 1 removed", len(vs))
 	}
 	byName := map[string]verdict{}
 	for _, v := range vs {
@@ -64,8 +64,35 @@ func TestCompareNormalizes(t *testing.T) {
 	if v := byName["onlyCur"]; !v.isNew || v.tripped {
 		t.Errorf("baseline-less benchmark not reported as new: %+v", v)
 	}
-	if v, ok := byName["onlyBase"]; ok {
-		t.Errorf("baseline-only benchmark reported: %+v", v)
+	if v := byName["onlyBase"]; !v.isRemoved || v.tripped {
+		t.Errorf("baseline-only benchmark not reported as removed: %+v", v)
+	}
+}
+
+func TestCompareReportsRemoved(t *testing.T) {
+	// A benchmark deleted since the baseline (here one whose package went
+	// away) is reported as removed, carries no verdict, and leaves the
+	// shared set's normalization alone.
+	base := map[string]float64{"A": 10e6, "B": 20e6, "C": 30e6, "BenchmarkFanOut/sessions=1000": 900e6}
+	cur := map[string]float64{"A": 10e6, "B": 20e6, "C": 30e6}
+	vs := compare(base, cur, 0.30, 1e6, true)
+	if len(vs) != 4 {
+		t.Fatalf("compared %d benchmarks, want 3 shared + 1 removed", len(vs))
+	}
+	last := vs[len(vs)-1]
+	if last.name != "BenchmarkFanOut/sessions=1000" || !last.isRemoved || last.isNew {
+		t.Fatalf("removed benchmark row %+v, want it last and marked removed", last)
+	}
+	if last.tripped || last.regressed || last.improved || last.base != 900e6 || last.cur != 0 {
+		t.Errorf("removed benchmark carries a verdict or mangled timings: %+v", last)
+	}
+	for _, v := range vs[:3] {
+		if v.tripped || v.isRemoved || v.normalized != 1 {
+			t.Errorf("shared benchmark %s disturbed by removed row: %+v", v.name, v)
+		}
+	}
+	if got := compare(map[string]float64{"gone": 5e6}, nil, 0.30, 1e6, true); len(got) != 1 || !got[0].isRemoved {
+		t.Errorf("baseline-only comparison = %+v, want one removed row", got)
 	}
 }
 
@@ -97,10 +124,12 @@ func TestCompareNewExcludedFromVerdict(t *testing.T) {
 }
 
 func TestCompareOnlyNew(t *testing.T) {
-	// No shared benchmarks at all: every row is new, none trips — main
-	// still refuses the comparison (exit 2) but compare must not panic.
+	// No shared benchmarks at all: every row is new or removed, none
+	// trips — main still refuses the comparison (exit 2) but compare must
+	// not panic.
 	vs := compare(map[string]float64{"gone": 1e6}, map[string]float64{"fresh": 2e6}, 0.30, 1e6, true)
-	if len(vs) != 1 || !vs[0].isNew || vs[0].tripped || vs[0].name != "fresh" {
+	if len(vs) != 2 || !vs[0].isNew || vs[0].tripped || vs[0].name != "fresh" ||
+		!vs[1].isRemoved || vs[1].tripped || vs[1].name != "gone" {
 		t.Fatalf("disjoint runs compared wrong: %+v", vs)
 	}
 }

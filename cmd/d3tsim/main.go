@@ -165,7 +165,21 @@ func main() {
 		}
 		fmt.Printf("heartbeats          %d\n", r.Heartbeats)
 	}
-	if c := out.Clients; c != nil {
+	if c := out.Clients; c != nil && cfg.VirtualEnabled() {
+		fmt.Printf("virtual sessions    %d in %d shards (%.0f bytes/session resident)\n",
+			c.Sessions, c.Shards, c.BytesPerSession)
+		fmt.Printf("virtual fidelity    %.4f mean, %.4f worst (loss %.2f%%)\n",
+			c.MeanFidelity, c.WorstFidelity, c.LossPercent)
+		fmt.Printf("virtual fan-out     %d delivered, %d filtered at the leaf (%d redirected at admission)\n",
+			c.Delivered, c.Filtered, c.Redirects)
+		if c.Departures+c.Arrivals+c.Migrations+c.Orphaned > 0 {
+			fmt.Printf("virtual churn       %d departures, %d arrivals, %d migrations, %d orphaned (%d resync values)\n",
+				c.Departures, c.Arrivals, c.Migrations, c.Orphaned, c.Resyncs)
+		}
+		if cfg.Scenario != "" && cfg.Scenario != "none" {
+			fmt.Printf("scenario            %s\n", cfg.Scenario)
+		}
+	} else if c != nil {
 		fmt.Printf("client sessions     %d (cap %d, %d redirected at admission)\n",
 			c.Sessions, cfg.SessionCap, c.Redirects)
 		fmt.Printf("client fidelity     %.4f mean, %.4f worst (loss %.2f%%)\n",
@@ -175,21 +189,6 @@ func main() {
 		if c.Departures+c.Arrivals+c.Migrations+c.Orphaned > 0 {
 			fmt.Printf("session churn       %d departures, %d arrivals, %d migrations, %d orphaned (%d resync values)\n",
 				c.Departures, c.Arrivals, c.Migrations, c.Orphaned, c.Resyncs)
-		}
-	}
-	if v := out.VServe; v != nil {
-		fmt.Printf("virtual sessions    %d in %d shards (%.0f bytes/session resident)\n",
-			v.Sessions, v.Shards, v.BytesPerSession)
-		fmt.Printf("virtual fidelity    %.4f mean, %.4f worst (loss %.2f%%)\n",
-			v.MeanFidelity, v.WorstFidelity, v.LossPercent)
-		fmt.Printf("virtual fan-out     %d delivered, %d filtered at the leaf (%d redirected at admission)\n",
-			v.Delivered, v.Filtered, v.Redirects)
-		if v.Departures+v.Arrivals+v.Migrations+v.Orphaned > 0 {
-			fmt.Printf("virtual churn       %d departures, %d arrivals, %d migrations, %d orphaned (%d resync values)\n",
-				v.Departures, v.Arrivals, v.Migrations, v.Orphaned, v.Resyncs)
-		}
-		if cfg.Scenario != "" && cfg.Scenario != "none" {
-			fmt.Printf("scenario            %s\n", cfg.Scenario)
 		}
 	}
 	if qs := out.Queries; qs != nil {

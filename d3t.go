@@ -20,24 +20,22 @@
 //     RunPull, RunLease) for custom setups.
 //   - Live runtimes: the live subpackage runs the same algorithms on
 //     goroutines in real time, and netio serves them over TCP.
-//   - Client serving: ClientFleet (and Config.Clients) attaches end-user
-//     sessions with their own tolerances to repositories — load-aware
-//     placement, per-client filtered fan-out, churn/migration, and
-//     client-observed fidelity; live and netio serve sessions over
-//     channels and TCP subscriptions.
+//   - Client serving: ClientFleet (and Config.Clients or
+//     Config.VirtualSessions) attaches end-user sessions with their own
+//     tolerances to repositories — load-aware placement, per-client
+//     filtered fan-out, churn/migration, and client-observed fidelity;
+//     live and netio serve sessions over channels and TCP subscriptions.
+//     Sessions are compact per-shard array state rather than one object
+//     each, so one process holds millions of them. Placement goes
+//     through a shared nearest-k index with an optional consistent-hash
+//     overflow ring, and Config.Scenario schedules flash crowds,
+//     correlated regional failures and diurnal load waves over a
+//     synthetic population.
 //   - Sharded ingest: Config.Shards/Config.BatchTicks (and the
 //     IngestPipeline building block) hash-partition independent items
 //     across parallel workers and coalesce update bursts into batches —
 //     the same partition drives the simulator, live's per-shard batch
 //     channels, and netio's multi-update frames.
-//   - Virtual serving: VirtualFleet (and Config.VirtualSessions) serves
-//     sessions as compact per-shard array state instead of one object
-//     each — millions of sessions in one process with the exact serving
-//     semantics of ClientFleet (the two are parity-tested). Placement
-//     goes through a shared nearest-k index with a consistent-hash
-//     overflow ring, and Config.Scenario schedules flash crowds,
-//     correlated regional failures and diurnal load waves over the
-//     population.
 //   - Durability: Config.Durability (and the WAL building blocks) backs
 //     every repository with a per-shard write-ahead log plus periodic
 //     snapshots, group-committed on batch boundaries. A killed
@@ -70,7 +68,6 @@ import (
 	"d3t/internal/query"
 	"d3t/internal/repository"
 	"d3t/internal/resilience"
-	"d3t/internal/serve"
 	"d3t/internal/sim"
 	"d3t/internal/trace"
 	"d3t/internal/tree"
@@ -422,18 +419,25 @@ func GenerateClients(w ClientWorkload) ([]*Client, error) {
 type (
 	// ClientFleet is a population of client sessions served by the
 	// repositories of one run: load-aware placement under a session cap,
-	// per-client coherency-filtered fan-out (Eq. 3 at the leaf), churn
-	// and crash-driven migration, and client-observed fidelity. It
-	// implements the run observers, so assign it to PushConfig.Observer
-	// (or ResilienceConfig.Observer) to serve a simulation's clients.
-	ClientFleet = serve.Fleet
-	// FleetOptions parameterizes a fleet (session cap, churn plan).
-	FleetOptions = serve.Options
+	// per-client coherency-filtered fan-out (Eqs. 3+7 at the leaf), churn
+	// and crash-driven migration, client-observed fidelity, and
+	// derived-data query sessions. Sessions are compact per-shard array
+	// state, so AttachAll admits a concrete Client slice and Populate a
+	// synthetic population of millions. It implements the run observers,
+	// so assign it to PushConfig.Observer (or ResilienceConfig.Observer)
+	// to serve a simulation's clients.
+	ClientFleet = vserve.Fleet
+	// FleetOptions parameterizes a fleet (session cap, churn plan,
+	// scenario, tick interval, obs, query catalogue, shard count,
+	// overflow ring, parallel delivery workers).
+	FleetOptions = vserve.Options
 	// ClientStats is the serving layer's outcome: client-observed
-	// fidelity, redirect/migration counters, fan-out work.
-	ClientStats = serve.Stats
-	// ClientSession is one client's live subscription.
-	ClientSession = serve.Session
+	// fidelity, redirect/migration counters, fan-out work, shard count
+	// and resident bytes per session (Outcome.Clients carries one).
+	ClientStats = vserve.Stats
+	// SyntheticPopulation parameterizes ClientFleet.Populate: the
+	// GenerateClients distribution without per-client objects.
+	SyntheticPopulation = vserve.Synthetic
 	// RunObserver receives a simulation's source ticks and deliveries
 	// (PushConfig.Observer); ResilienceObserver additionally sees crashes
 	// and rejoins (ResilienceConfig.Observer).
@@ -443,11 +447,11 @@ type (
 )
 
 // NewClientFleet builds an empty fleet over the repository population
-// (ids 1..n, matching the network's endpoints). Attach the clients, seed
-// the initial values once the overlay is built, run with the fleet as
-// the observer, then Finalize.
+// (ids 1..n, matching the network's endpoints). Attach the clients,
+// derive needs and build the overlay, seed the initial values, run with
+// the fleet as the observer, then Finalize.
 func NewClientFleet(net *Network, repos []*Repository, opts FleetOptions) (*ClientFleet, error) {
-	return serve.NewFleet(net, repos, opts)
+	return vserve.NewFleet(net, repos, opts)
 }
 
 // ParseSessionPlan builds a session churn plan (arrivals/departures over
@@ -457,30 +461,12 @@ func NewClientFleet(net *Network, repos []*Repository, opts FleetOptions) (*Clie
 // result feeds FleetOptions.Plan and Config.SessionChurn accepts the
 // same specs.
 func ParseSessionPlan(spec string, sessions, ticks int, interval Time, seed int64) (*FaultPlan, error) {
-	return serve.ParseSessionPlan(spec, sessions, ticks, interval, seed)
+	return vserve.ParseSessionPlan(spec, sessions, ticks, interval, seed)
 }
 
-// Virtual serving layer -------------------------------------------------
+// Scenarios and placement -----------------------------------------------
 
 type (
-	// VirtualFleet serves sessions as compact per-shard struct-of-arrays
-	// state — no per-session object, no goroutine — with the exact
-	// serving semantics of ClientFleet (filtering, resync, redirect,
-	// migration, fidelity; the two are parity-tested). It implements the
-	// run observers, so assign it to PushConfig.Observer (or
-	// ResilienceConfig.Observer) like a ClientFleet. Populate admits a
-	// synthetic population of millions without materializing clients;
-	// AttachAll admits a concrete Client slice.
-	VirtualFleet = vserve.Fleet
-	// VirtualFleetOptions parameterizes a virtual fleet (cap, churn plan,
-	// scenario, shard count, overflow ring, parallel delivery workers).
-	VirtualFleetOptions = vserve.Options
-	// VirtualStats extends ClientStats with shard count and measured
-	// resident bytes per session (Outcome.VServe carries one).
-	VirtualStats = vserve.Stats
-	// VirtualSynthetic parameterizes a compact synthetic population —
-	// the GenerateClients distribution without per-client objects.
-	VirtualSynthetic = vserve.Synthetic
 	// ScenarioSpec is a parsed scenario: flash crowds, correlated
 	// regional failures, diurnal load waves (Config.Scenario grammar).
 	ScenarioSpec = trace.ScenarioSpec
@@ -494,21 +480,13 @@ type (
 	// PlacementIndex is the shared sharded nearest-k session placement
 	// index: delay-bucketed candidate orders per home endpoint with an
 	// optional consistent-hash overflow ring, making admission O(k)
-	// instead of a linear scan. Both fleets place through it.
+	// instead of a linear scan.
 	PlacementIndex = place.Index
 	// PlacementOptions parameterizes the index's overflow ring.
 	PlacementOptions = place.Options
 	// PlacementState is the live cluster view a placement consults.
 	PlacementState = place.State
 )
-
-// NewVirtualFleet builds an empty virtual fleet over the repository
-// population (ids 1..n, matching the network's endpoints). Populate or
-// AttachAll the sessions, DeriveNeeds, build the overlay, Seed, run with
-// the fleet as the observer, then Finalize.
-func NewVirtualFleet(net *Network, repos []*Repository, opts VirtualFleetOptions) (*VirtualFleet, error) {
-	return vserve.NewFleet(net, repos, opts)
-}
 
 // ParseScenario parses a scenario spec such as
 // "flash:at=0.3,frac=0.5,burst=0.2", "regional:at=0.4,frac=0.25,rejoin=0.7"
@@ -553,12 +531,12 @@ type (
 	QueryEval = query.Eval
 	// QueryServed is one query session served by a ClientFleet
 	// (ClientFleet.AttachQueries / QuerySession / QuerySessions).
-	QueryServed = serve.QuerySession
+	QueryServed = vserve.QuerySession
 	// QueryOutcome is one query's measured result (fidelity, input floor,
 	// message tallies); QueryServingStats aggregates the catalogue
 	// (Outcome.Queries carries one when Config.Queries is set).
-	QueryOutcome      = serve.QueryOutcome
-	QueryServingStats = serve.QueryStats
+	QueryOutcome      = vserve.QueryOutcome
+	QueryServingStats = vserve.QueryStats
 )
 
 // Query operators.

@@ -305,13 +305,13 @@ func TestFacadeClientServing(t *testing.T) {
 	if stats.MeanFidelity != 1 {
 		t.Errorf("client fidelity %v under ideal conditions, want 1", stats.MeanFidelity)
 	}
-	fid := fleet.ClientFidelity(res.Horizon)
+	fid := fleet.PerSessionFidelity(res.Horizon)
 	if len(fid) != 24 {
 		t.Errorf("per-client fidelity has %d entries, want 24", len(fid))
 	}
-	for name, f := range fid {
+	for i, f := range fid {
 		if f != 1 {
-			t.Errorf("client %s fidelity %v, want 1", name, f)
+			t.Errorf("client %s fidelity %v, want 1", clients[i].Name, f)
 		}
 	}
 }

@@ -1,7 +1,7 @@
-// Flashcrowd: the virtual serving fleet under a flash crowd. Sessions
-// are compact per-shard array state (no object, no goroutine per
-// session), so one process holds populations the concrete fleet cannot —
-// here 50,000 sessions over 30 repositories. Half the population starts
+// Flashcrowd: the serving fleet under a flash crowd. Sessions are
+// compact per-shard array state (no object, no goroutine per session),
+// so one process holds large synthetic populations — here 50,000
+// sessions over 30 repositories. Half the population starts
 // detached and slams onto the hottest item in a Pareto burst; every
 // arrival is placed through the shared nearest-k index (overflowing
 // through the consistent-hash ring under the session cap) and resyncs
@@ -44,13 +44,13 @@ func main() {
 	labels := []string{"wide burst (40% of run)", "sharp burst (5% of run)", "regional failure (25%)"}
 	fmt.Println("scenario                  clientFid  worst   arrivals  redirects  migr+orph  resyncs  bytes/sess")
 	for i, out := range outs {
-		v := out.VServe
+		v := out.Clients
 		fmt.Printf("%-25s %.4f     %.4f  %-8d  %-9d  %-9d  %-7d  %.0f\n",
 			labels[i], v.MeanFidelity, v.WorstFidelity, v.Arrivals,
 			v.Redirects, v.Migrations+v.Orphaned, v.Resyncs, v.BytesPerSession)
 	}
 
-	v := outs[1].VServe
+	v := outs[1].Clients
 	fmt.Printf("\nthe sharp burst lands %d sessions in ~45 ticks — each admitted in O(k) through\n", v.Arrivals)
 	fmt.Printf("the placement index and caught up via %d resync values. The whole population\n", v.Resyncs)
 	fmt.Printf("is %d sessions of flat array state at %.0f resident bytes each, in %d shards.\n",

@@ -14,10 +14,10 @@ import (
 	"d3t/internal/query"
 	"d3t/internal/repository"
 	"d3t/internal/resilience"
-	"d3t/internal/serve"
 	"d3t/internal/sim"
 	"d3t/internal/trace"
 	"d3t/internal/tree"
+	"d3t/internal/vserve"
 	"d3t/internal/wal"
 )
 
@@ -96,16 +96,16 @@ type Config struct {
 	// candidate.
 	SessionCap int
 	// SessionChurn schedules session arrivals/departures (same grammar as
-	// Faults, over the session population — see serve.ParseSessionPlan).
+	// Faults, over the session population — see vserve.ParseSessionPlan).
 	SessionChurn string
 
-	// VirtualSessions enables the virtual serving fleet (internal/vserve):
-	// the number of synthetic end-user sessions kept as compact per-shard
-	// struct-of-arrays state instead of one Session object each, sharing
-	// the concrete fleet's placement, filtering and fidelity semantics
-	// (the two are parity-tested). Use it to push the serving layer to
-	// populations the concrete fleet cannot hold — millions of sessions
-	// in one process. Mutually exclusive with Clients and Queries; reuses
+	// VirtualSessions serves a synthetic session population instead of
+	// generated Client objects: the number of end-user sessions the
+	// serving fleet (internal/vserve) creates directly in its compact
+	// per-shard state, with the same placement, filtering and fidelity
+	// semantics as Clients. Use it to push the serving layer to millions
+	// of sessions in one process; the outcome carries Outcome.Clients.
+	// Mutually exclusive with Clients and Queries; reuses
 	// ItemsPerClient, StringentFrac, SessionCap and SessionChurn. With a
 	// SessionCap set, overflow placement goes through the index's
 	// consistent-hash ring instead of long nearest-first walks.
@@ -349,7 +349,7 @@ func (c Config) sessionPlan() (*resilience.Plan, error) {
 	if interval <= 0 {
 		interval = sim.Second
 	}
-	return serve.ParseSessionPlan(c.SessionChurn, n, c.Ticks, interval, c.Seed+15)
+	return vserve.ParseSessionPlan(c.SessionChurn, n, c.Ticks, interval, c.Seed+15)
 }
 
 // clients generates the run's client population over the trace

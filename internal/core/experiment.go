@@ -10,7 +10,6 @@ import (
 	"d3t/internal/obs"
 	"d3t/internal/repository"
 	"d3t/internal/resilience"
-	"d3t/internal/serve"
 	"d3t/internal/sim"
 	"d3t/internal/trace"
 	"d3t/internal/tree"
@@ -40,19 +39,15 @@ type Outcome struct {
 	// run had Faults disabled.
 	Resilience *resilience.Stats
 	// Clients carries the serving layer's outcome — client-observed
-	// fidelity, redirect/migration counters, per-session fan-out work;
-	// nil when the run had Clients disabled.
-	Clients *serve.Stats
-	// VServe carries the virtual serving fleet's outcome — the same
-	// serving-layer stats as Clients plus shard count and the measured
-	// resident bytes per session; nil when the run had VirtualSessions
-	// disabled.
-	VServe *vserve.Stats
+	// fidelity, redirect/migration counters, per-session fan-out work,
+	// shard count and resident bytes per session; nil when the run had
+	// neither Clients nor VirtualSessions set.
+	Clients *vserve.Stats
 	// Queries carries the derived-data query layer's outcome —
 	// result-level fidelity against the allocation's union-bound floor,
 	// eval/recompute counters and per-placement message costs; nil when
 	// the run had Queries disabled.
-	Queries *serve.QueryStats
+	Queries *vserve.QueryStats
 	// Ingest carries the sharded/batched ingest pipeline's throughput and
 	// coalescing stats; nil when the run used the plain sequential path
 	// (Shards <= 1 and BatchTicks <= 1, or a run the ingest layer does
@@ -93,120 +88,32 @@ func RunExperiment(cfg Config) (*Outcome, error) {
 // shared across concurrent calls; everything mutable (repositories, the
 // overlay, trackers) is created here, per run.
 func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (*Outcome, error) {
-	// With a client population configured, repository needs come from the
-	// placed clients (Section 1.2) instead of the subscription workload:
-	// each client session attaches to the nearest repository under the
+	// With a session population configured, repository needs come from
+	// the placed sessions (Section 1.2) instead of the subscription
+	// workload: each session attaches to the nearest repository under the
 	// session cap, and the repository's requirement for an item becomes
-	// the most stringent across its clients.
+	// the most stringent across its sessions.
 	var repos []*repository.Repository
-	var fleet *serve.Fleet
-	var vfleet *vserve.Fleet
+	var fleet *vserve.Fleet
 	var scenFaults *resilience.Plan
-	if cfg.VirtualEnabled() {
-		// The virtual serving fleet: the same serving semantics as the
-		// concrete fleet below over compact per-shard session state, for
-		// populations the concrete fleet cannot hold. Needs derive from
-		// the registered virtual population; scenario repository faults
-		// route the run through the resilient runner.
-		repos = cfg.bareRepositories()
-		plan, err := cfg.sessionPlan()
-		if err != nil {
-			return nil, err
-		}
-		scen, err := cfg.scenarioPlan()
-		if err != nil {
-			return nil, err
-		}
-		interval := cfg.TickInterval
-		if interval <= 0 {
-			interval = sim.Second
-		}
-		vopts := vserve.Options{
-			Cap: cfg.SessionCap, Plan: plan, Scenario: scen,
-			Interval: interval, Obs: cfg.Obs,
-		}
-		if cfg.SessionCap > 0 {
-			// Under a cap, overflow placement hashes onto the consistent
-			// ring instead of walking ever-longer nearest-first prefixes.
-			vopts.RingSlots = 16
-		}
-		vfleet, err = vserve.NewFleet(net, repos, vopts)
-		if err != nil {
-			return nil, err
-		}
-		if err := vfleet.Populate(vserve.Synthetic{
-			Sessions:       cfg.VirtualSessions,
-			Items:          itemCatalogue(traces),
-			ItemsPerClient: cfg.ItemsPerClient,
-			StringentFrac:  cfg.StringentFrac,
-			Seed:           cfg.Seed + 13,
-		}); err != nil {
-			return nil, err
-		}
-		vfleet.DeriveNeeds()
-		if scen != nil && len(scen.Faults) > 0 {
-			p := &resilience.Plan{Spec: scen.Spec}
-			for _, ft := range scen.Faults {
-				rf := resilience.Fault{Node: repository.ID(ft.Repo), At: sim.Time(ft.Tick) * interval}
-				if ft.RejoinTick >= 0 {
-					rf.RejoinAt = sim.Time(ft.RejoinTick) * interval
-				}
-				p.Faults = append(p.Faults, rf)
-			}
-			scenFaults = p
-		}
-	} else if cfg.ClientsEnabled() || cfg.QueriesEnabled() {
+	if cfg.VirtualEnabled() || cfg.ClientsEnabled() || cfg.QueriesEnabled() {
 		repos = cfg.bareRepositories()
 		catalogue := itemCatalogue(traces)
-		var clients []*repository.Client
-		if cfg.ClientsEnabled() {
-			var err error
-			clients, err = cfg.clients(catalogue)
-			if err != nil {
-				return nil, err
-			}
-		}
 		plan, err := cfg.sessionPlan()
 		if err != nil {
 			return nil, err
-		}
-		queries, err := cfg.queries()
-		if err != nil {
-			return nil, err
-		}
-		known := make(map[string]bool, len(catalogue))
-		for _, x := range catalogue {
-			known[x] = true
-		}
-		for _, q := range queries {
-			for _, x := range q.Items {
-				if !known[x] {
-					return nil, fmt.Errorf("core: query %q watches unknown item %q", q.Name, x)
-				}
-			}
 		}
 		interval := cfg.TickInterval
 		if interval <= 0 {
 			interval = sim.Second
 		}
-		fleet, err = serve.NewFleet(net, repos, serve.Options{
-			Cap: cfg.SessionCap, Plan: plan, Obs: cfg.Obs,
-			Queries: queries, Interval: interval,
-		})
+		opts := vserve.Options{Cap: cfg.SessionCap, Plan: plan, Interval: interval, Obs: cfg.Obs}
+		if cfg.VirtualEnabled() {
+			fleet, scenFaults, err = cfg.virtualFleet(net, repos, catalogue, opts)
+		} else {
+			fleet, err = cfg.clientFleet(net, repos, catalogue, opts)
+		}
 		if err != nil {
-			return nil, err
-		}
-		if err := fleet.AttachAll(clients); err != nil {
-			return nil, err
-		}
-		// Query sessions fold into need derivation as synthetic clients:
-		// the overlay then provably serves every query input at least as
-		// stringently as the tolerance allocation demands.
-		qclients, err := fleet.AttachQueries()
-		if err != nil {
-			return nil, err
-		}
-		if err := repository.DeriveNeeds(repos, append(append([]*repository.Client(nil), clients...), qclients...)); err != nil {
 			return nil, err
 		}
 	} else {
@@ -244,7 +151,7 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 		Queueing:  cfg.Queueing,
 		Obs:       cfg.Obs,
 	}
-	if fleet != nil || vfleet != nil {
+	if fleet != nil {
 		// The serving layer is fed by the initial values and the run's
 		// observable events; the overlay is built, so serving sets are
 		// final and admission checks see them.
@@ -254,13 +161,8 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 				initial[tr.Item] = tr.Ticks[0].Value
 			}
 		}
-		if fleet != nil {
-			fleet.Seed(initial)
-			pushCfg.Observer = fleet
-		} else {
-			vfleet.Seed(initial)
-			pushCfg.Observer = vfleet
-		}
+		fleet.Seed(initial)
+		pushCfg.Observer = fleet
 	}
 	var res *dissemination.Result
 	var resStats *resilience.Stats
@@ -309,8 +211,6 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 		}
 		if fleet != nil {
 			resCfg.Observer = fleet
-		} else if vfleet != nil {
-			resCfg.Observer = vfleet
 		}
 		rr, err := resilience.Run(overlay, lela, traces, protocol, resCfg, plan)
 		if err != nil {
@@ -324,22 +224,17 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 		}
 	}
 
-	var clientStats *serve.Stats
-	var queryStats *serve.QueryStats
-	var vserveStats *vserve.Stats
+	var clientStats *vserve.Stats
+	var queryStats *vserve.QueryStats
 	if fleet != nil {
 		st := fleet.Finalize(res.Horizon)
-		if cfg.ClientsEnabled() {
+		if cfg.ClientsEnabled() || cfg.VirtualEnabled() {
 			clientStats = &st
 		}
 		if cfg.QueriesEnabled() {
 			qst := fleet.FinalizeQueries(res.Horizon)
 			queryStats = &qst
 		}
-	}
-	if vfleet != nil {
-		st := vfleet.Finalize(res.Horizon)
-		vserveStats = &st
 	}
 
 	var obsSnap *obs.TreeSnapshot
@@ -359,9 +254,102 @@ func runExperimentWith(cfg Config, net *netsim.Network, traces []*trace.Trace) (
 		SourceUtilization: res.SourceUtilization,
 		Resilience:        resStats,
 		Clients:           clientStats,
-		VServe:            vserveStats,
 		Queries:           queryStats,
 		Ingest:            ingestStats,
 		Obs:               obsSnap,
 	}, nil
+}
+
+// clientFleet attaches the concrete client population and the query
+// catalogue, then derives repository needs from where they landed. The
+// placement keeps the ring off: overflow walks strictly nearest-first.
+func (cfg Config) clientFleet(net *netsim.Network, repos []*repository.Repository, catalogue []string, opts vserve.Options) (*vserve.Fleet, error) {
+	var clients []*repository.Client
+	if cfg.ClientsEnabled() {
+		var err error
+		clients, err = cfg.clients(catalogue)
+		if err != nil {
+			return nil, err
+		}
+	}
+	queries, err := cfg.queries()
+	if err != nil {
+		return nil, err
+	}
+	known := make(map[string]bool, len(catalogue))
+	for _, x := range catalogue {
+		known[x] = true
+	}
+	for _, q := range queries {
+		for _, x := range q.Items {
+			if !known[x] {
+				return nil, fmt.Errorf("core: query %q watches unknown item %q", q.Name, x)
+			}
+		}
+	}
+	opts.Queries = queries
+	fleet, err := vserve.NewFleet(net, repos, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := fleet.AttachAll(clients); err != nil {
+		return nil, err
+	}
+	// Query sessions fold into need derivation as synthetic clients: the
+	// overlay then provably serves every query input at least as
+	// stringently as the tolerance allocation demands.
+	qclients, err := fleet.AttachQueries()
+	if err != nil {
+		return nil, err
+	}
+	if err := repository.DeriveNeeds(repos, append(clients, qclients...)); err != nil {
+		return nil, err
+	}
+	return fleet, nil
+}
+
+// virtualFleet populates the synthetic session population (with its
+// scenario) and derives repository needs from it. It returns the
+// scenario's repository faults as a plan for the resilient runner (nil
+// without any).
+func (cfg Config) virtualFleet(net *netsim.Network, repos []*repository.Repository, catalogue []string, opts vserve.Options) (*vserve.Fleet, *resilience.Plan, error) {
+	scen, err := cfg.scenarioPlan()
+	if err != nil {
+		return nil, nil, err
+	}
+	opts.Scenario = scen
+	// Eight shards, the layout the scale figures' bytes/session column
+	// reports.
+	opts.Shards = 8
+	if cfg.SessionCap > 0 {
+		// Under a cap, overflow placement hashes onto the consistent
+		// ring instead of walking ever-longer nearest-first prefixes.
+		opts.RingSlots = 16
+	}
+	fleet, err := vserve.NewFleet(net, repos, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := fleet.Populate(vserve.Synthetic{
+		Sessions:       cfg.VirtualSessions,
+		Items:          catalogue,
+		ItemsPerClient: cfg.ItemsPerClient,
+		StringentFrac:  cfg.StringentFrac,
+		Seed:           cfg.Seed + 13,
+	}); err != nil {
+		return nil, nil, err
+	}
+	fleet.DeriveNeeds()
+	if scen == nil || len(scen.Faults) == 0 {
+		return fleet, nil, nil
+	}
+	p := &resilience.Plan{Spec: scen.Spec}
+	for _, ft := range scen.Faults {
+		rf := resilience.Fault{Node: repository.ID(ft.Repo), At: sim.Time(ft.Tick) * opts.Interval}
+		if ft.RejoinTick >= 0 {
+			rf.RejoinAt = sim.Time(ft.RejoinTick) * opts.Interval
+		}
+		p.Faults = append(p.Faults, rf)
+	}
+	return fleet, p, nil
 }

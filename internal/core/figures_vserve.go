@@ -7,9 +7,9 @@ import (
 	"d3t/internal/obs"
 )
 
-// This file holds the virtual-fleet evaluation: the serving layer pushed
-// to populations the concrete per-object fleet cannot hold. Sessions are
-// compact per-shard array state (internal/vserve), placement goes through
+// This file holds the virtual-session evaluation: the serving layer
+// pushed to synthetic populations of up to a million sessions. Sessions
+// are compact per-shard array state (internal/vserve), placement goes through
 // the shared nearest-k index with consistent-hash overflow, and the
 // figures report what an operator would watch — client-observed fidelity,
 // p99 redirect latency from the obs histograms, and resident bytes per
@@ -62,7 +62,7 @@ func FigureVServeScale(s Scale) (*FigureResult, error) {
 	}
 	rows := make([][]string, 0, len(outs))
 	for i, out := range outs {
-		v := out.VServe
+		v := out.Clients
 		if v == nil {
 			return nil, fmt.Errorf("core: vserve-scale point %d ran without virtual stats", i)
 		}
@@ -122,7 +122,7 @@ func FigureVServeFlash(s Scale) (*FigureResult, error) {
 	}
 	rows := make([][]string, 0, len(outs))
 	for i, out := range outs {
-		v := out.VServe
+		v := out.Clients
 		if v == nil {
 			return nil, fmt.Errorf("core: vserve-flash point %d ran without virtual stats", i)
 		}

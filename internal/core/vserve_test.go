@@ -14,12 +14,12 @@ func TestRunExperimentVirtualSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := out.VServe
+	v := out.Clients
 	if v == nil {
-		t.Fatal("virtual run produced no VServe stats")
+		t.Fatal("virtual run produced no serving stats")
 	}
-	if out.Clients != nil || out.Queries != nil {
-		t.Fatal("virtual run produced concrete client/query stats")
+	if out.Queries != nil {
+		t.Fatal("virtual run produced query stats")
 	}
 	if v.Sessions != 300 {
 		t.Fatalf("sessions = %d, want 300", v.Sessions)
@@ -47,9 +47,9 @@ func TestRunExperimentVirtualFlash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := out.VServe
+	v := out.Clients
 	if v == nil {
-		t.Fatal("virtual run produced no VServe stats")
+		t.Fatal("virtual run produced no serving stats")
 	}
 	if v.Arrivals != 150 {
 		t.Fatalf("arrivals = %d, want the whole crowd (150)", v.Arrivals)
@@ -70,9 +70,9 @@ func TestRunExperimentVirtualRegional(t *testing.T) {
 	if out.Resilience == nil {
 		t.Fatal("regional scenario did not route through the resilient runner")
 	}
-	v := out.VServe
+	v := out.Clients
 	if v == nil {
-		t.Fatal("virtual run produced no VServe stats")
+		t.Fatal("virtual run produced no serving stats")
 	}
 	if v.Migrations == 0 && v.Orphaned == 0 {
 		t.Fatal("regional failure moved no sessions")

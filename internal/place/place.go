@@ -20,9 +20,9 @@
 //     remaining order degenerates to the old linear scan; the ring
 //     instead spreads overflow sessions hash-uniformly across the repos
 //     that still have room, in O(probe) time. The ring is a *policy*
-//     change (overflow lands by hash, not by distance), so the concrete
-//     fleet keeps it off to preserve its historical placements; the
-//     virtual fleet turns it on at scale.
+//     change (overflow lands by hash, not by distance), so concrete
+//     client populations keep it off to preserve their historical
+//     placements; synthetic populations turn it on at scale.
 //   - The legacy fallbacks, stated once: initial placement falls back to
 //     the least-loaded live repository when every repository is at cap
 //     (the population always starts fully placed), and later placements
@@ -31,8 +31,7 @@
 //
 // The index owns only topology-derived state. Liveness, load and serving
 // stringency belong to the fleets; they are consulted through the State
-// and serves callbacks so both the concrete and the virtual serving modes
-// drive one implementation.
+// and serves callbacks, so the index itself holds no serving state.
 package place
 
 import (

@@ -8,6 +8,7 @@ import (
 	"d3t/internal/coherency"
 	"d3t/internal/dissemination"
 	"d3t/internal/node"
+	"d3t/internal/obs"
 	"d3t/internal/repository"
 	"d3t/internal/sim"
 	"d3t/internal/trace"
@@ -134,8 +135,10 @@ type Result struct {
 // Run simulates pushing the traces through the overlay under the fault
 // plan: nodes crash and rejoin per the plan, neighbors exchange
 // heartbeats, dependents detect dead parents after the silence window and
-// re-home to their precomputed backups, and fidelity is measured exactly
-// as in dissemination.Run. lela supplies the re-homing policy (preference
+// re-home to their precomputed backups, and fidelity — and, with
+// cfg.Push.Obs set, the per-node observability record — is measured
+// exactly as in dissemination.Run, over the deliveries that reach live
+// nodes. lela supplies the re-homing policy (preference
 // function and augmentation); a nil plan runs fault-free.
 //
 // The overlay is mutated by repairs, like it is by construction; callers
@@ -163,6 +166,11 @@ func Run(o *tree.Overlay, lela *tree.LeLA, traces []*trace.Trace, p disseminatio
 		}
 	}
 	p.Init(o, initial)
+	if cfg.Push.Obs != nil {
+		if po, ok := p.(interface{ SetObs(*obs.Tree) }); ok {
+			po.SetObs(cfg.Push.Obs)
+		}
+	}
 
 	n := len(o.Nodes)
 	r := &runner{
@@ -180,6 +188,13 @@ func Run(o *tree.Overlay, lela *tree.LeLA, traces []*trace.Trace, p disseminatio
 		byRepo:    make(map[string]map[repository.ID]*coherency.Tracker),
 		trackers:  make(map[string][]repoTracker),
 		killed:    make([]bool, n),
+	}
+	if cfg.Push.Obs != nil {
+		r.obsNodes = make([]*obs.Node, n)
+		for id := range r.obsNodes {
+			r.obsNodes[id] = cfg.Push.Obs.Node(repository.ID(id))
+		}
+		r.tracer = cfg.Push.Obs.TracerOrNil()
 	}
 	for i := range r.alive {
 		r.alive[i] = true
@@ -203,6 +218,12 @@ func Run(o *tree.Overlay, lela *tree.LeLA, traces []*trace.Trace, p disseminatio
 				return nil, fmt.Errorf("resilience: repository %d needs item %s with no trace", node.ID, x)
 			}
 			t := coherency.NewTracker(c, 0, v)
+			if r.obsNodes != nil {
+				on := r.obsNodes[node.ID]
+				t.OnViolationEnd = func(start, end sim.Time) {
+					on.ObserveViolation(int64(end - start))
+				}
+			}
 			r.trackers[x] = append(r.trackers[x], repoTracker{repo: node.ID, tr: t})
 			m := r.byRepo[x]
 			if m == nil {
@@ -375,9 +396,22 @@ type runner struct {
 	killed []bool
 	walErr error
 
+	// obsNodes (indexed by node id) and tracer are non-nil only when
+	// cfg.Push.Obs is set; the delivery path guards with one nil check.
+	obsNodes []*obs.Node
+	tracer   *obs.Tracer
+
 	stats       dissemination.Stats
 	res         Stats
 	recoverySum sim.Time
+}
+
+// meta is the observability context riding alongside an update through
+// the event graph: when it left the source, and its trace id (0 when the
+// update is not sampled).
+type meta struct {
+	born sim.Time
+	tid  uint64
 }
 
 // coreHost is implemented by protocols built on the shared repository
@@ -423,6 +457,12 @@ func (r *runner) walState(id repository.ID) wal.State {
 // exactly as before the crash).
 func (r *runner) restore(id repository.ID, rec *wal.Recovered) {
 	c := r.coreOf(id)
+	if c != nil {
+		// Replay rebuilds state; it is not traffic the node received.
+		o := c.Obs()
+		c.SetObs(nil)
+		defer c.SetObs(o)
+	}
 	for x, v := range rec.State.Values {
 		r.values[id][x] = v
 		if c != nil {
@@ -471,18 +511,30 @@ func (r *runner) sourceTick(now sim.Time, item string, v float64) {
 	if r.cfg.Observer != nil {
 		r.cfg.Observer.ObserveSource(now, item, v)
 	}
+	m := meta{born: now}
+	if r.tracer != nil {
+		m.tid = r.tracer.Sample(item, repository.SourceID, int64(now))
+	}
 	fwd, checks := r.protocol.AtSource(item, v)
 	r.stats.SourceChecks += uint64(checks)
-	r.dispatch(now, r.o.Source(), item, v, fwd, checks)
+	r.dispatch(now, r.o.Source(), item, v, fwd, checks, m)
 }
 
 // deliver handles an update copy arriving at a repository. Copies arriving
 // at a dead node are dropped on the floor — exactly what a crashed process
-// does with packets addressed to it.
-func (r *runner) deliver(now sim.Time, node *repository.Repository, from repository.ID, item string, v float64, tag coherency.Requirement) {
+// does with packets addressed to it. hop is the propagation delay since
+// the sender received (or sourced) the update.
+func (r *runner) deliver(now sim.Time, node *repository.Repository, from repository.ID, item string, v float64, tag coherency.Requirement, hop sim.Time, m meta) {
 	if !r.alive[node.ID] {
 		r.res.DroppedDeliveries++
 		return
+	}
+	if r.obsNodes != nil {
+		on := r.obsNodes[node.ID]
+		on.ObserveHop(int64(hop))
+		on.ObserveSourceLatency(int64(now - m.born))
+		on.ObserveEdgeDelay(from, int64(hop))
+		r.tracer.Hop(m.tid, node.ID, int64(now))
 	}
 	r.lastHeard[node.ID][from] = now
 	r.stats.Deliveries++
@@ -500,12 +552,12 @@ func (r *runner) deliver(now sim.Time, node *repository.Repository, from reposit
 	// segment).
 	r.logDeliver(node.ID, item, v)
 	r.stats.RepoChecks += uint64(checks)
-	r.dispatch(now, node, item, v, fwd, checks)
+	r.dispatch(now, node, item, v, fwd, checks, m)
 }
 
 // dispatch charges computational delays and schedules the sends, exactly
 // like the dissemination runner's latency/queueing models.
-func (r *runner) dispatch(now sim.Time, from *repository.Repository, item string, v float64, fwd []dissemination.Forward, checks int) {
+func (r *runner) dispatch(now sim.Time, from *repository.Repository, item string, v float64, fwd []dissemination.Forward, checks int, m meta) {
 	st := &r.stations[from.ID]
 	var preamble sim.Time
 	if extra := checks - len(fwd); extra > 0 && r.cfg.Push.CheckFrac > 0 {
@@ -517,7 +569,7 @@ func (r *runner) dispatch(now sim.Time, from *repository.Repository, item string
 		}
 		for _, f := range fwd {
 			done := st.Acquire(now, r.cfg.Push.CompDelay)
-			r.send(done, from.ID, item, v, f)
+			r.send(done, now, from.ID, item, v, f, m)
 		}
 		return
 	}
@@ -526,17 +578,25 @@ func (r *runner) dispatch(now sim.Time, from *repository.Repository, item string
 	depart := now + preamble
 	for _, f := range fwd {
 		depart += r.cfg.Push.CompDelay
-		r.send(depart, from.ID, item, v, f)
+		r.send(depart, now, from.ID, item, v, f, m)
 	}
 }
 
-// send emits one copy departing at the given time.
-func (r *runner) send(depart sim.Time, from repository.ID, item string, v float64, f dissemination.Forward) {
+// send emits one copy departing at the given time. recvAt is when the
+// sender received the update, the anchor of the hop-delay measurement.
+func (r *runner) send(depart, recvAt sim.Time, from repository.ID, item string, v float64, f dissemination.Forward, m meta) {
 	r.stats.Messages++
 	to := r.o.Node(f.To)
 	arrive := depart + r.o.Net.Delay[from][f.To]
 	tag := f.Tag
-	r.engine.At(arrive, func(t sim.Time) { r.deliver(t, to, from, item, v, tag) })
+	if r.obsNodes == nil {
+		// Without obs the delivery closure does not grow by the hop
+		// metadata: every in-flight copy is one of these.
+		r.engine.At(arrive, func(t sim.Time) { r.deliver(t, to, from, item, v, tag, 0, meta{}) })
+		return
+	}
+	hop := arrive - recvAt
+	r.engine.At(arrive, func(t sim.Time) { r.deliver(t, to, from, item, v, tag, hop, m) })
 }
 
 // crash takes a node down: it stops forwarding, heartbeating and
@@ -800,7 +860,9 @@ func (r *runner) rehomeFeed(now sim.Time, q *repository.Repository, x string, cr
 	if er, ok := r.protocol.(edgeResetter); ok {
 		er.ResetEdge(parent, q.ID, x, v)
 	}
-	r.dispatch(now, r.o.Node(parent), x, v, []dissemination.Forward{{To: q.ID}}, 0)
+	// The sync copy originates here, so its source latency counts from
+	// now.
+	r.dispatch(now, r.o.Node(parent), x, v, []dissemination.Forward{{To: q.ID}}, 0, meta{born: now})
 }
 
 // edgeResetter is implemented by protocols with per-edge filter state

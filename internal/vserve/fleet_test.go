@@ -1,4 +1,4 @@
-package serve
+package vserve
 
 import (
 	"fmt"
@@ -7,31 +7,36 @@ import (
 
 	"d3t/internal/coherency"
 	"d3t/internal/netsim"
+	"d3t/internal/obs"
 	"d3t/internal/repository"
 	"d3t/internal/sim"
 )
 
-// population builds n repositories with ids 1..n serving item X at the
-// given tolerance.
-func population(n int, tol coherency.Requirement) []*repository.Repository {
-	repos := make([]*repository.Repository, n)
-	for i := range repos {
-		repos[i] = repository.New(repository.ID(i+1), 4)
-		repos[i].Needs["X"] = tol
-		repos[i].Serving["X"] = tol
-	}
-	return repos
+// The hand-checked fixtures below pin the serving semantics on
+// populations small enough to work out by hand: placement, the leaf
+// filter, meter arithmetic, churn, crash migration and orphaning.
+
+func client(name string, home repository.ID, tol coherency.Requirement) *repository.Client {
+	return &repository.Client{Name: name, Repo: home, Wants: map[string]coherency.Requirement{"X": tol}}
 }
 
-func client(name string, home repository.ID, wants map[string]coherency.Requirement) *repository.Client {
-	return &repository.Client{Name: name, Repo: home, Wants: wants}
+// attach admits one client and returns its population index.
+func attach(t *testing.T, f *Fleet, c *repository.Client) int {
+	t.Helper()
+	if err := f.AttachAll([]*repository.Client{c}); err != nil {
+		t.Fatal(err)
+	}
+	return f.SessionCount() - 1
 }
 
 func TestCandidatesNearestFirst(t *testing.T) {
 	// Uniform network: every pair equidistant, self-delay zero — the home
 	// repository must rank first, the rest in id order.
-	net := netsim.Uniform(4, sim.Millisecond)
-	got := Candidates(net, 3, 4)
+	f, err := NewFleet(netsim.Uniform(4, sim.Millisecond), population(4, []string{"X"}, 0.5), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := f.Index().Order(3)
 	want := []repository.ID{3, 1, 2, 4}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("candidates from home 3 = %v, want %v", got, want)
@@ -39,55 +44,32 @@ func TestCandidatesNearestFirst(t *testing.T) {
 }
 
 func TestPlacementCapOverflowRedirects(t *testing.T) {
-	net := netsim.Uniform(3, sim.Millisecond)
-	repos := population(3, 0.5)
-	f, err := NewFleet(net, repos, Options{Cap: 1})
+	f, err := NewFleet(netsim.Uniform(3, sim.Millisecond), population(3, []string{"X"}, 0.5), Options{Cap: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wants := map[string]coherency.Requirement{"X": 0.5}
 	// Two clients homed at repository 1: the first takes it, the second
 	// must overflow to the next candidate (id 2) and count a redirect.
-	a, err := f.Attach(client("a", 1, wants))
-	if err != nil {
-		t.Fatal(err)
+	a := attach(t, f, client("a", 1, 0.5))
+	if r, st := f.SessionRepo(a), f.Finalize(0); r != 1 || st.Redirects != 0 {
+		t.Errorf("first client placed at %d (redirects=%d), want its home 1", r, st.Redirects)
 	}
-	b, err := f.Attach(client("b", 1, map[string]coherency.Requirement{"X": 0.5}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Repo != 1 || a.Redirected() {
-		t.Errorf("first client placed at %d (redirected=%v), want its home 1", a.Repo, a.Redirected())
-	}
-	if b.Repo != 2 || !b.Redirected() {
-		t.Errorf("overflow client placed at %d (redirected=%v), want redirect to 2", b.Repo, b.Redirected())
-	}
-	if st := f.Finalize(0); st.Redirects != 1 {
-		t.Errorf("redirects = %d, want 1", st.Redirects)
+	b := attach(t, f, client("b", 1, 0.5))
+	if r, st := f.SessionRepo(b), f.Finalize(0); r != 2 || st.Redirects != 1 {
+		t.Errorf("overflow client placed at %d (redirects=%d), want one redirect to 2", r, st.Redirects)
 	}
 }
 
 func TestPlacementAllFullFallsBackToLeastLoaded(t *testing.T) {
-	net := netsim.Uniform(2, sim.Millisecond)
-	repos := population(2, 0.5)
-	f, err := NewFleet(net, repos, Options{Cap: 1})
+	f, err := NewFleet(netsim.Uniform(2, sim.Millisecond), population(2, []string{"X"}, 0.5), Options{Cap: 1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	wants := func() map[string]coherency.Requirement {
-		return map[string]coherency.Requirement{"X": 0.5}
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := f.Attach(client(fmt.Sprintf("c%d", i), 1, wants())); err != nil {
-			t.Fatal(err)
-		}
+		attach(t, f, client(fmt.Sprintf("c%d", i), 1, 0.5))
 	}
 	// Both repositories at cap: the third client must still be placed.
-	s, err := f.Attach(client("c2", 1, wants()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Attached() {
+	if s := attach(t, f, client("c2", 1, 0.5)); f.SessionRepo(s) == repository.NoID {
 		t.Fatal("overflow client left unplaced")
 	}
 }
@@ -96,16 +78,11 @@ func TestPlacementAllFullFallsBackToLeastLoaded(t *testing.T) {
 // and check that only updates exceeding the client's own tolerance reach
 // the session, while the meter integrates the observed coherency.
 func TestFilteredFanOut(t *testing.T) {
-	net := netsim.Uniform(1, sim.Millisecond)
-	repos := population(1, 0.1)
-	f, err := NewFleet(net, repos, Options{})
+	f, err := NewFleet(netsim.Uniform(1, sim.Millisecond), population(1, []string{"X"}, 0.1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := f.Attach(client("a", 1, map[string]coherency.Requirement{"X": 1.0}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := attach(t, f, client("a", 1, 1.0))
 	f.Seed(map[string]float64{"X": 100})
 
 	// The repository (tolerance 0.1) receives every small move; the
@@ -115,16 +92,17 @@ func TestFilteredFanOut(t *testing.T) {
 	f.ObserveSource(2*sim.Second, "X", 102)
 	f.ObserveDeliver(2*sim.Second, 1, "X", 102) // |Δ|=2 > 1 → delivered
 
-	if v, _ := s.Value("X"); v != 102 {
+	if v, _ := f.SessionValue(s, "X"); v != 102 {
 		t.Errorf("session copy %v, want 102 after the violating update", v)
 	}
-	if s.Delivered() != 1 || s.Filtered() != 1 {
-		t.Errorf("delivered/filtered = %d/%d, want 1/1", s.Delivered(), s.Filtered())
+	st := f.Finalize(4 * sim.Second)
+	if st.Delivered != 1 || st.Filtered != 1 {
+		t.Errorf("delivered/filtered = %d/%d, want 1/1", st.Delivered, st.Filtered)
 	}
 	// Coherency timeline at tolerance 1.0: in tolerance on [0,2s) (the
 	// 0.5 move never violates), violated nowhere — the source jump to 102
 	// at 2s is repaired in the same instant. Fidelity must be exactly 1.
-	if fid := s.Fidelity(4 * sim.Second); fid != 1 {
+	if fid := f.SessionFidelity(s, 4*sim.Second); fid != 1 {
 		t.Errorf("fidelity %v, want 1", fid)
 	}
 }
@@ -133,20 +111,18 @@ func TestFilteredFanOut(t *testing.T) {
 // move the client never receives accrues violation time until the next
 // delivery.
 func TestFidelityIntegratesViolations(t *testing.T) {
-	net := netsim.Uniform(1, sim.Millisecond)
-	repos := population(1, 0.1)
-	f, _ := NewFleet(net, repos, Options{})
-	s, err := f.Attach(client("a", 1, map[string]coherency.Requirement{"X": 1.0}))
+	f, err := NewFleet(netsim.Uniform(1, sim.Millisecond), population(1, []string{"X"}, 0.1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := attach(t, f, client("a", 1, 1.0))
 	f.Seed(map[string]float64{"X": 100})
 
 	// Source jumps out of tolerance at 2s; the repair arrives at 6s.
 	f.ObserveSource(2*sim.Second, "X", 105)
 	f.ObserveDeliver(6*sim.Second, 1, "X", 105)
 	// Violated on [2s,6s) of a 10s horizon: fidelity 0.6.
-	if fid := s.Fidelity(10 * sim.Second); fid != 0.6 {
+	if fid := f.SessionFidelity(s, 10*sim.Second); fid != 0.6 {
 		t.Errorf("fidelity %v, want 0.6", fid)
 	}
 }
@@ -175,13 +151,11 @@ func TestChurnDepartureStopsObservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := netsim.Uniform(1, sim.Millisecond)
-	repos := population(1, 0.1)
-	f, _ := NewFleet(net, repos, Options{Plan: plan})
-	s, err := f.Attach(client("a", 1, map[string]coherency.Requirement{"X": 1.0}))
+	f, err := NewFleet(netsim.Uniform(1, sim.Millisecond), population(1, []string{"X"}, 0.1), Options{Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := attach(t, f, client("a", 1, 1.0))
 	f.Seed(map[string]float64{"X": 100})
 
 	// The source jumps at 1s and the repository relays it immediately
@@ -194,22 +168,20 @@ func TestChurnDepartureStopsObservation(t *testing.T) {
 	if st.Departures != 1 || st.Arrivals != 1 {
 		t.Errorf("departures/arrivals = %d/%d, want 1/1", st.Departures, st.Arrivals)
 	}
-	if !s.Attached() {
+	if f.SessionRepo(s) == repository.NoID {
 		t.Error("session not re-attached after its churn cycle")
 	}
-	if fid := s.Fidelity(20 * sim.Second); fid != 1 {
+	if fid := f.SessionFidelity(s, 20*sim.Second); fid != 1 {
 		t.Errorf("fidelity %v, want 1 (delivered before departure, resynced on return)", fid)
 	}
 }
 
 func TestCrashMigratesWithResync(t *testing.T) {
-	net := netsim.Uniform(2, sim.Millisecond)
-	repos := population(2, 0.1)
-	f, _ := NewFleet(net, repos, Options{})
-	s, err := f.Attach(client("a", 1, map[string]coherency.Requirement{"X": 1.0}))
+	f, err := NewFleet(netsim.Uniform(2, sim.Millisecond), population(2, []string{"X"}, 0.1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := attach(t, f, client("a", 1, 1.0))
 	f.Seed(map[string]float64{"X": 100})
 
 	// Repository 2 converges to 105; repository 1 (the session's) dies
@@ -218,10 +190,10 @@ func TestCrashMigratesWithResync(t *testing.T) {
 	f.ObserveDeliver(sim.Second, 2, "X", 105)
 	f.ObserveCrash(2*sim.Second, 1)
 
-	if s.Repo != 2 {
-		t.Fatalf("session on repository %d after crash, want migration to 2", s.Repo)
+	if r := f.SessionRepo(s); r != 2 {
+		t.Fatalf("session on repository %d after crash, want migration to 2", r)
 	}
-	if v, _ := s.Value("X"); v != 105 {
+	if v, _ := f.SessionValue(s, "X"); v != 105 {
 		t.Errorf("session copy %v after migration resync, want 105", v)
 	}
 	st := f.Finalize(4 * sim.Second)
@@ -234,27 +206,23 @@ func TestCrashMigratesWithResync(t *testing.T) {
 }
 
 func TestCrashWithNoRoomOrphansThenRejoinRecovers(t *testing.T) {
-	net := netsim.Uniform(2, sim.Millisecond)
-	repos := population(2, 0.1)
-	f, _ := NewFleet(net, repos, Options{Cap: 1})
-	a, err := f.Attach(client("a", 1, map[string]coherency.Requirement{"X": 0.5}))
+	f, err := NewFleet(netsim.Uniform(2, sim.Millisecond), population(2, []string{"X"}, 0.1), Options{Cap: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Attach(client("b", 2, map[string]coherency.Requirement{"X": 0.5})); err != nil {
-		t.Fatal(err)
-	}
+	a := attach(t, f, client("a", 1, 0.5))
+	attach(t, f, client("b", 2, 0.5))
 	f.Seed(map[string]float64{"X": 100})
 
 	// Repository 1 dies; repository 2 is at cap — session a is orphaned.
 	f.ObserveCrash(sim.Second, 1)
-	if a.Attached() {
+	if f.SessionRepo(a) != repository.NoID {
 		t.Fatal("session attached despite every live repository being full")
 	}
 	// Repository 1 rejoins; the orphan re-homes onto it.
 	f.ObserveRejoin(3*sim.Second, 1)
-	if a.Repo != 1 {
-		t.Fatalf("orphan on repository %d after rejoin, want 1", a.Repo)
+	if r := f.SessionRepo(a); r != 1 {
+		t.Fatalf("orphan on repository %d after rejoin, want 1", r)
 	}
 	st := f.Finalize(5 * sim.Second)
 	if st.Orphaned != 1 || st.Migrations != 1 {
@@ -263,34 +231,25 @@ func TestCrashWithNoRoomOrphansThenRejoinRecovers(t *testing.T) {
 }
 
 func TestMigrationPrefersServingCapableRepository(t *testing.T) {
-	net := netsim.Uniform(3, sim.Millisecond)
-	repos := population(3, 0.1)
+	repos := population(3, []string{"X"}, 0.1)
 	// Repository 2 (the nearest alternative by id order) serves X too
 	// loosely for the client; repository 3 serves it stringently.
 	repos[1].Serving["X"] = 2.0
-	f, _ := NewFleet(net, repos, Options{})
-	s, err := f.Attach(client("a", 1, map[string]coherency.Requirement{"X": 0.5}))
+	f, err := NewFleet(netsim.Uniform(3, sim.Millisecond), repos, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := attach(t, f, client("a", 1, 0.5))
 	f.Seed(map[string]float64{"X": 100})
 	f.ObserveCrash(sim.Second, 1)
-	if s.Repo != 3 {
-		t.Errorf("migrated to repository %d, want 3 (the one serving X at the client's tolerance)", s.Repo)
+	if r := f.SessionRepo(s); r != 3 {
+		t.Errorf("migrated to repository %d, want 3 (the one serving X at the client's tolerance)", r)
 	}
 }
 
 func TestFleetDeterminism(t *testing.T) {
 	run := func() Stats {
 		items := []string{"X", "Y", "Z"}
-		net := netsim.Uniform(4, sim.Millisecond)
-		repos := make([]*repository.Repository, 4)
-		for i := range repos {
-			repos[i] = repository.New(repository.ID(i+1), 4)
-			for _, x := range items {
-				repos[i].Needs[x], repos[i].Serving[x] = 0.1, 0.1
-			}
-		}
 		clients, err := repository.GenerateClients(repository.ClientWorkload{
 			Clients: 24, Repos: []repository.ID{1, 2, 3, 4}, Items: items,
 			ItemsPerClient: 2, StringentFrac: 0.5, Seed: 3,
@@ -302,7 +261,7 @@ func TestFleetDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := NewFleet(net, repos, Options{Cap: 8, Plan: plan})
+		f, err := NewFleet(netsim.Uniform(4, sim.Millisecond), population(4, items, 0.1), Options{Cap: 8, Plan: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,10 +277,64 @@ func TestFleetDeterminism(t *testing.T) {
 		return f.Finalize(100 * sim.Second)
 	}
 	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
+	if a != b {
 		t.Errorf("two identical runs diverged:\n%+v\n%+v", a, b)
 	}
 	if a.Departures == 0 {
 		t.Error("churn plan executed no departures")
+	}
+}
+
+// TestFleetObs checks the serving-layer feed into the observability
+// tree: admits and resyncs, cap-overflow redirects with a latency sample
+// charged to the repository that turned the client away, and migrations
+// charged to the repository that took the session in.
+func TestFleetObs(t *testing.T) {
+	repos := population(3, []string{"X"}, 0.5)
+	tree := obs.NewTree()
+	f, err := NewFleet(netsim.Uniform(3, sim.Millisecond), repos, Options{Cap: 1, Obs: tree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attach(t, f, client("a", 1, 0.5))
+	b := attach(t, f, client("b", 1, 0.5))
+	if r := f.SessionRepo(b); r != 2 {
+		t.Fatalf("overflow client placed at %d, want redirect to 2", r)
+	}
+	f.Seed(map[string]float64{"X": 10})
+
+	n1 := tree.Node(1).Snapshot(0)
+	if n1.Counters.Redirects != 1 || n1.Redirect.Count != 1 {
+		t.Errorf("repo1 redirect counters: %+v hist %+v, want 1 each", n1.Counters, n1.Redirect)
+	}
+	// The admission walk paid a round trip to full repo 1 (self-delay 0)
+	// plus one to repo 2 (1ms each way): 2ms.
+	if n1.Redirect.P50Ms < 1 {
+		t.Errorf("redirect latency p50 %vms, want >= the round trip to the next candidate", n1.Redirect.P50Ms)
+	}
+
+	// Crash repo 2: its session migrates to repo 3 (repo 1 is at cap),
+	// charging a migration there and resyncing the session's copy.
+	f.ObserveSource(sim.Second, "X", 20)
+	f.ObserveDeliver(sim.Second, 2, "X", 20)
+	f.ObserveCrash(2*sim.Second, 2)
+	if r := f.SessionRepo(b); r != 3 {
+		t.Fatalf("session migrated to %d, want 3", r)
+	}
+	n3 := tree.Node(3).Snapshot(0)
+	if n3.Counters.Migrations != 1 {
+		t.Errorf("repo3 migrations = %d, want 1", n3.Counters.Migrations)
+	}
+	var admits, resyncs uint64
+	for _, r := range repos {
+		snap := tree.Node(r.ID).Snapshot(0)
+		admits += snap.Counters.Admits
+		resyncs += snap.Counters.Resyncs
+	}
+	if admits != 3 { // a, b, and b's migration re-admit
+		t.Errorf("admits = %d, want 3", admits)
+	}
+	if resyncs == 0 {
+		t.Errorf("migration resynced the session but no resyncs counted")
 	}
 }

@@ -1,4 +1,4 @@
-package serve
+package vserve
 
 import (
 	"testing"
@@ -10,7 +10,7 @@ import (
 // fault grammar applied to the session population. Beyond not panicking
 // or hanging, an accepted plan must schedule departures in time order
 // against valid 1-based session indexes, because Fleet.catchUp indexes
-// the session slice with Fault.Node - 1 unchecked for order.
+// the population with Fault.Node - 1.
 func FuzzParseSessionPlan(f *testing.F) {
 	for _, spec := range []string{
 		"", "none",

@@ -8,7 +8,7 @@ import (
 	"d3t/internal/sim"
 )
 
-// parallel fans one delivery out across shards on Options.Workers
+// parallel fans one delivery out across the client shards on Options.Workers
 // goroutines. Shard state is disjoint (each worker touches only its own
 // shards' arrays; the fleet-level inputs are read-only for the duration),
 // and the per-shard tallies are merged in shard order, so the result is
@@ -22,7 +22,7 @@ type parallel struct {
 func newParallel(n int) *parallel { return &parallel{n: n} }
 
 func (p *parallel) deliver(f *Fleet, repo repository.ID, id uint32, now sim.Time, v float64, cSelf coherency.Requirement) (delivered, filtered int) {
-	ns := len(f.shards)
+	ns := f.opts.Shards
 	if len(p.dBuf) < ns {
 		p.dBuf = make([]int, ns)
 		p.fBuf = make([]int, ns)

@@ -1,9 +1,10 @@
-package serve
+package vserve
 
 import (
 	"fmt"
 
 	"d3t/internal/coherency"
+	"d3t/internal/place"
 	"d3t/internal/query"
 	"d3t/internal/repository"
 	"d3t/internal/sim"
@@ -11,8 +12,8 @@ import (
 
 // QuerySession is one continuous derived-data query served by the fleet:
 // an ordinary input session (the query's items at the allocated per-input
-// tolerance, placed/filtered/migrated exactly like a client) plus two
-// incremental evaluators and a result fidelity meter.
+// tolerance, placed/filtered/migrated/resynced exactly like a client's
+// watches) plus two incremental evaluators and a result fidelity meter.
 //
 // The *view* evaluator is fed by the deliveries the serving repository's
 // per-client filter lets through — it is the result the client actually
@@ -25,7 +26,8 @@ type QuerySession struct {
 	// Query is the query being served.
 	Query query.Query
 
-	s     *Session
+	f     *Fleet
+	h     uint64 // the input session's handle (query shard)
 	truth *query.Eval
 	view  *query.Eval
 	rm    meter // result meter, c = cQ
@@ -47,8 +49,8 @@ type QuerySession struct {
 	resultPushes uint64 // published result changes (repo-side placement cost)
 }
 
-// Session returns the query's underlying input session.
-func (qs *QuerySession) Session() *Session { return qs.s }
+// Repo returns the repository serving the query, or NoID while detached.
+func (qs *QuerySession) Repo() repository.ID { return qs.f.repoOf(qs.h) }
 
 // Evals and Recomputes report the view evaluator's counters: input
 // deliveries evaluated, and result recomputations (one per delivery once
@@ -75,13 +77,14 @@ func (qs *QuerySession) Fidelity(now sim.Time) float64 {
 // (clamped at 0). This is the provable side of the allocation argument,
 // measured: the query-fidelity figure checks the result stays above it.
 func (qs *QuerySession) InputFloor(now sim.Time) float64 {
+	shi, i := split(qs.h)
+	sh := &qs.f.shards[shi]
 	floor := 1.0
-	for i := range qs.s.meters {
-		f, ok := qs.s.meters[i].fidelity(now)
-		if !ok {
-			continue
+	off, n := sh.wOff[i], uint32(sh.wLen[i])
+	for wi := off; wi < off+n; wi++ {
+		if f, ok := sh.fidelity(wi, now); ok {
+			floor -= 1 - f
 		}
-		floor -= 1 - f
 	}
 	if floor < 0 {
 		return 0
@@ -91,12 +94,8 @@ func (qs *QuerySession) InputFloor(now sim.Time) float64 {
 
 // gate reconciles the result meter with the session/predicate state.
 func (qs *QuerySession) gate(now sim.Time) {
-	want := qs.attached && qs.predOpen
-	if want && !qs.rm.attached {
-		qs.rm.attach(now)
-	} else if !want && qs.rm.attached {
-		qs.rm.detach(now)
-	}
+	qs.rm.advance(now)
+	qs.rm.attached = qs.attached && qs.predOpen
 }
 
 // QueryOutcome is one query's end-of-run summary.
@@ -149,7 +148,7 @@ func (s QueryStats) String() string {
 }
 
 // qTick maps simulation time onto the query clock.
-func (f *Fleet) qTick(now sim.Time) int64 { return int64(now / f.qInterval) }
+func (f *Fleet) qTick(now sim.Time) int64 { return int64(now / f.opts.Interval) }
 
 // AttachQueries admits the fleet's query catalogue (Options.Queries):
 // each query becomes an input session subscribed to its items at the
@@ -157,7 +156,9 @@ func (f *Fleet) qTick(now sim.Time) int64 { return int64(now / f.qInterval) }
 // repository chosen round-robin. It returns one synthetic client per
 // query — already homed at its placement — for the caller to fold into
 // DeriveNeeds, so the overlay provably serves every input at least as
-// stringently as the allocation demands.
+// stringently as the allocation demands. Query sessions are not part of
+// the client population: Stats, SessionCount and the churn plan's index
+// space cover clients only.
 func (f *Fleet) AttachQueries() ([]*repository.Client, error) {
 	out := make([]*repository.Client, 0, len(f.opts.Queries))
 	for i, q := range f.opts.Queries {
@@ -165,46 +166,47 @@ func (f *Fleet) AttachQueries() ([]*repository.Client, error) {
 			return nil, err
 		}
 		if q.Name == "" {
-			return nil, fmt.Errorf("serve: query %d has no name", i)
+			return nil, fmt.Errorf("vserve: query %d has no name", i)
 		}
-		if f.byName[q.Name] != nil {
-			return nil, fmt.Errorf("serve: duplicate session %q", q.Name)
+		if _, dup := f.byName[q.Name]; dup {
+			return nil, fmt.Errorf("vserve: duplicate session %q", q.Name)
 		}
 		home := repository.ID(1 + i%len(f.repos))
 		wants := q.Wants()
-		s := newSession(q.Name, home, wants)
+		items, tols := f.watchList(wants)
+		h := f.create(f.queryShard(), q.Name, place.Key(q.Name), home, items, tols)
 		qs := &QuerySession{
 			Query:    q,
-			s:        s,
+			f:        f,
+			h:        h,
 			truth:    query.NewEval(q),
 			view:     query.NewEval(q),
 			rm:       meter{c: coherency.Requirement(q.Tolerance)},
 			predOpen: q.Pred == nil,
 		}
-		s.ns.SetTag(qs)
-		f.byName[q.Name] = s
-		f.qByName[q.Name] = qs
-		f.qOf[s] = qs
-		target := f.place(s, true)
-		if target == repository.NoID {
-			delete(f.byName, q.Name)
-			delete(f.qByName, q.Name)
-			delete(f.qOf, s)
-			return nil, fmt.Errorf("serve: no repository to place query %q on", q.Name)
-		}
-		f.attach(s, target, 0)
-		for _, x := range s.items {
-			f.byItem[x] = append(f.byItem[x], s)
-			f.qByItem[x] = append(f.qByItem[x], qs)
+		for _, it := range items {
+			f.qOwner = append(f.qOwner, uint32(len(f.queries)))
+			f.qByItem[it] = append(f.qByItem[it], qs)
 		}
 		f.queries = append(f.queries, qs)
+		target, err := f.placeNew(h, q.Name)
+		if err != nil {
+			return nil, err
+		}
+		f.byName[q.Name] = h
 		out = append(out, &repository.Client{Name: q.Name, Repo: target, Wants: wants})
 	}
 	return out, nil
 }
 
-// QuerySession returns a query session by query name.
-func (f *Fleet) QuerySession(name string) *QuerySession { return f.qByName[name] }
+// QuerySession returns a query session by query name, or nil.
+func (f *Fleet) QuerySession(name string) *QuerySession {
+	h, ok := f.byName[name]
+	if shi, i := split(h); ok && shi == f.queryShard() {
+		return f.queries[i]
+	}
+	return nil
+}
 
 // QuerySessions returns the query catalogue in attachment order.
 func (f *Fleet) QuerySessions() []*QuerySession { return f.queries }
@@ -240,13 +242,15 @@ func (f *Fleet) seedQueries(initial map[string]float64) {
 // observeQuerySource feeds one source-signal change into every query
 // watching the item: the truth evaluator recomputes, the result meter's
 // reference moves, and the predicate gate follows the truth result.
-func (f *Fleet) observeQuerySource(now sim.Time, item string, v float64) {
-	for _, qs := range f.qByItem[item] {
-		rt, ok, _ := qs.truth.Observe(item, v, f.qTick(now))
+func (f *Fleet) observeQuerySource(now sim.Time, id uint32, v float64) {
+	for _, qs := range f.qByItem[id] {
+		rt, ok, _ := qs.truth.Observe(f.itemName[id], v, f.qTick(now))
 		if !ok {
 			continue
 		}
-		qs.rm.srcUpdate(now, rt)
+		qs.rm.advance(now)
+		qs.rm.src = rt
+		qs.rm.refresh()
 		if qs.Query.Pred != nil {
 			qs.predOpen = qs.Query.Pred.Holds(rt)
 			qs.gate(now)
@@ -254,12 +258,11 @@ func (f *Fleet) observeQuerySource(now sim.Time, item string, v float64) {
 	}
 }
 
-// queryDeliver runs one filtered input delivery through a query session:
-// the input meter and push tallies move, the view evaluator recomputes,
-// and a changed result that passes the predicate is published to the
-// client's copy.
+// queryDeliver runs one input delivery (already recorded in the input
+// watch's meter) through a query session: the push tallies move, the view
+// evaluator recomputes, and a changed result that passes the predicate is
+// published to the client's copy.
 func (f *Fleet) queryDeliver(qs *QuerySession, now sim.Time, item string, v float64, resync bool) {
-	qs.s.meterFor(item).deliver(now, v)
 	if resync {
 		qs.resyncPushes++
 	} else {
@@ -270,7 +273,7 @@ func (f *Fleet) queryDeliver(qs *QuerySession, now sim.Time, item string, v floa
 	if ok {
 		recomputed = 1
 	}
-	f.opts.Obs.Node(qs.s.Repo).QueryPass(1, recomputed)
+	f.opts.Obs.Node(qs.Repo()).QueryPass(1, recomputed)
 	if !ok || !changed {
 		return
 	}
@@ -279,7 +282,9 @@ func (f *Fleet) queryDeliver(qs *QuerySession, now sim.Time, item string, v floa
 	}
 	qs.resultPushes++
 	qs.have, qs.hasPub = res, true
-	qs.rm.deliver(now, res)
+	qs.rm.advance(now)
+	qs.rm.have = res
+	qs.rm.refresh()
 }
 
 // FinalizeQueries flushes churn through the horizon and returns the
@@ -313,7 +318,7 @@ func (f *Fleet) FinalizeQueries(horizon sim.Time) QueryStats {
 		st.PerQuery = append(st.PerQuery, QueryOutcome{
 			Name:         qs.Query.Name,
 			Spec:         qs.Query.String(),
-			Repo:         qs.s.Repo,
+			Repo:         qs.Repo(),
 			Fidelity:     fid,
 			InputFloor:   floor,
 			Evals:        qs.view.Evals(),
@@ -328,4 +333,52 @@ func (f *Fleet) FinalizeQueries(horizon sim.Time) QueryStats {
 	st.LossPercent = 100 * (1 - st.MeanFidelity)
 	st.MeanInputFloor = floorSum / float64(len(f.queries))
 	return st
+}
+
+// meter integrates a query result's coherency over the session's attached
+// lifetime: both the truth (src) and the published result (have) are
+// piecewise constant, so it accumulates attached time and violated time
+// between state changes. Every change first advances the meter to its
+// time; a detached meter (a departed client) observes nothing.
+type meter struct {
+	c coherency.Requirement
+
+	src, have float64
+	attached  bool
+	inViol    bool
+	last      sim.Time // time of the most recent state change
+	span      sim.Time // total attached observation time
+	viol      sim.Time // attached time spent out of tolerance
+}
+
+// advance accounts [m.last, now) against the current state.
+func (m *meter) advance(now sim.Time) {
+	if now < m.last {
+		panic(fmt.Sprintf("vserve: meter moved backwards from %v to %v", m.last, now))
+	}
+	if m.attached {
+		m.span += now - m.last
+		if m.inViol {
+			m.viol += now - m.last
+		}
+	}
+	m.last = now
+}
+
+func (m *meter) refresh() { m.inViol = m.c.Violated(m.src, m.have) }
+
+// fidelity returns the attached-time fidelity up to now, and false when
+// the meter never observed any attached time.
+func (m *meter) fidelity(now sim.Time) (float64, bool) {
+	span, viol := m.span, m.viol
+	if m.attached && now > m.last {
+		span += now - m.last
+		if m.inViol {
+			viol += now - m.last
+		}
+	}
+	if span <= 0 {
+		return 1, false
+	}
+	return 1 - float64(viol)/float64(span), true
 }

@@ -1,14 +1,32 @@
-// Package vserve is the virtual-session serving mode: the same
-// client-serving semantics as internal/serve — nearest-first placement
-// under a session cap, Eqs. 3+7 per-client filtering with the first-push
-// rule, churn, crash migration with resync, client-observed fidelity —
-// scaled from tens of thousands of sessions to millions on one machine.
+// Package vserve is the client-serving layer: it closes the loop from
+// dissemination tree to end users by making every client of Section 1.2
+// a *session* that subscribes to items at its own coherency tolerance and
+// is served from the repository nearest to it. Updates fan out from
+// repositories to sessions through per-client coherency filters — the
+// same Eqs. 3 and 7 test the tree applies between repositories, applied
+// once more at the leaves, where fan-out cost concentrates. (Eq. 3 alone
+// would reintroduce the Section 5 missed-update problem at the client:
+// its copy could silently drift by its own tolerance plus the
+// repository's.)
 //
-// The concrete fleet materializes each client as a Session object with a
-// core-side node.Session, a map of pointer-boxed meters, and a private
-// candidate slice: several hundred heap objects and ~2 KiB per client.
-// The virtual fleet materializes *none of that*. A session is a handle —
-// an index into per-shard struct-of-arrays state:
+// The fleet supplies, in simulation order:
+//
+//   - Load-aware placement: each session attaches to the nearest
+//     repository (by physical-network delay from its home endpoint) under
+//     the session cap; overflow redirects to the next candidate and is
+//     counted.
+//   - Churn and migration: sessions depart and re-arrive under a seeded
+//     plan (the resilience fault-plan grammar over the session
+//     population, see ParseSessionPlan) or a trace scenario, and migrate
+//     — resynced to the new repository's current copy — when their
+//     repository crashes.
+//   - Client-observed fidelity: the paper's metric measured at the true
+//     consumer, per session and as a population mean.
+//   - Derived-data queries: a query session is an ordinary input session
+//     plus incremental evaluators (see AttachQueries).
+//
+// A session is not an object but a handle — an index into per-shard
+// struct-of-arrays state:
 //
 //	shard s (FNV-1a(name) % shards)
 //	├── home[i], repo[i], seq[i], orphan flags    per-session scalars
@@ -18,12 +36,11 @@
 //	    ├── wHave, wSeeded                        session-edge filter state
 //	    └── wInViol, wAttached, wLast, wSpan, wViol   fidelity meter
 //
-// The meter state is the same piecewise-constant integrator as
-// serve.meter with one compression: the per-meter source copy is gone —
-// the source value of an item is global, so it lives once in src[item]
-// instead of once per (session, item). Everything else is bit-identical
-// arithmetic, which is what lets TestVirtualParity demand *equality* (not
-// tolerance) between the two fleets' fidelity numbers.
+// The fidelity meter is a piecewise-constant integrator of
+// |source − client copy| ≤ c over the session's attached lifetime; the
+// source value of an item is global, so it lives once in src[item]
+// instead of once per (session, item). That keeps a session at a few
+// hundred bytes, so one process holds millions of them.
 //
 // Fan-out is driven by postings lists instead of maps-of-objects:
 // byItem[item] lists every watch entry (source metering), and
@@ -31,7 +48,9 @@
 // attached to the repository (delivery). Attach/detach maintain the
 // postings with swap-deletes through a per-watch position; the delivery
 // hot path walks a slice, touches flat arrays, and allocates nothing
-// (TestVirtualDeliverAllocFree).
+// (TestVirtualDeliverAllocFree). Query sessions live in one extra shard
+// past the client shards, so only their deliveries pay for the evaluator
+// hook.
 //
 // Placement rides the shared internal/place index: per-home candidate
 // orders are computed once per home endpoint, not per session, and the
@@ -40,49 +59,65 @@
 // scan. Scenario plans from internal/trace (flash crowds, diurnal waves)
 // schedule churn; correlated regional failures arrive through the
 // resilience runner's crash/rejoin observers exactly as single faults do.
+//
+// The fleet implements the run observers of the dissemination and
+// resilience runners; the live and netio runtimes serve sessions over
+// channels and TCP with the same admission/filter/migration policy.
 package vserve
 
 import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"d3t/internal/coherency"
 	"d3t/internal/netsim"
 	"d3t/internal/obs"
 	"d3t/internal/place"
+	"d3t/internal/query"
 	"d3t/internal/repository"
 	"d3t/internal/resilience"
-	"d3t/internal/serve"
 	"d3t/internal/sim"
 	"d3t/internal/trace"
 )
 
-// Options parameterizes a virtual fleet.
+// Options parameterizes a fleet.
 type Options struct {
-	// Cap is the per-repository session cap (0 = unlimited), as in
-	// serve.Options.
+	// Cap is the per-repository session cap (0 = unlimited). A session
+	// whose nearest repository is full redirects to the next candidate.
 	Cap int
-	// Plan schedules session churn (Fault.Node is a 1-based session
-	// index), as in serve.Options.
+	// Plan schedules session churn: a fault plan over the client
+	// population (Fault.Node is a 1-based session index) where At is the
+	// session's departure and RejoinAt its re-arrival. Nil means every
+	// session stays for the whole run. See ParseSessionPlan.
 	Plan *resilience.Plan
 	// Scenario schedules scenario-driven churn (tick-indexed; converted
 	// through Interval). Flash-crowd members are created detached and
 	// watch the hot item; see Synthetic.
 	Scenario *trace.ScenarioPlan
-	// Interval is the tick length in sim time used to convert scenario
-	// ticks (defaults to 1, matching resilience.ParsePlan's convention
-	// At = tick * interval).
+	// Interval is the trace tick length in sim time (defaults to 1): it
+	// converts scenario ticks (At = tick * interval, as in
+	// resilience.ParsePlan) and places windowed query aggregates into
+	// their window slots.
 	Interval sim.Time
-	// Obs, when set, collects per-repository serving counters and the
-	// redirect-latency histogram, exactly as the concrete fleet does.
+	// Obs, when set, collects the serving layer's per-repository counters
+	// (admits, redirects, migrations, resyncs, per-session deliver/filter
+	// decisions, query evaluations) and the redirect-latency histogram.
+	// Observation is passive.
 	Obs *obs.Tree
-	// Shards is the session-state shard count (default 8). Sessions are
-	// sharded by FNV-1a of their name.
+	// Queries is the continuous derived-data query catalogue; each entry
+	// becomes a query session attached by AttachQueries.
+	Queries []query.Query
+	// Shards is the session-state shard count. Sessions are sharded by
+	// FNV-1a of their name, so Workers can deliver to disjoint shards in
+	// parallel; results do not depend on it. Defaults to Workers (at
+	// least 1): every shard costs a postings table per repository.
 	Shards int
 	// RingSlots/RingAfter enable the placement index's consistent-hash
 	// overflow ring (see place.Options). Zero keeps strict nearest-first
-	// overflow — required for byte parity with the concrete fleet.
+	// overflow, the placement every concrete-client figure was rendered
+	// with.
 	RingSlots int
 	RingAfter int
 	// Workers > 1 fans deliveries out across shards in parallel. Shard
@@ -91,9 +126,35 @@ type Options struct {
 	Workers int
 }
 
-// Stats extends the serving-layer stats with virtual-fleet extras.
+// Stats counts the serving layer's work and outcomes during one run.
+// Query sessions are reported separately (QueryStats); every count here
+// is over the client population.
 type Stats struct {
-	serve.Stats
+	// Sessions is the client population size.
+	Sessions int
+	// Redirects counts admissions that landed on other than the nearest
+	// repository because of the session cap.
+	Redirects int
+	// Migrations counts sessions moved to another repository after their
+	// repository crashed (or re-homed when it rejoined); Resyncs counts
+	// the catch-up values pushed to migrated or re-arriving sessions.
+	Migrations int
+	Resyncs    int
+	// Orphaned counts sessions that found no live repository with
+	// capacity at migration time (they retry when a repository rejoins).
+	Orphaned int
+	// Departures and Arrivals count executed session-churn events.
+	Departures, Arrivals int
+	// Delivered and Filtered count per-session update decisions: an
+	// update a session's repository received is delivered when it exceeds
+	// the client's own tolerance and filtered otherwise.
+	Delivered, Filtered uint64
+	// MeanFidelity is the mean client-observed fidelity over sessions;
+	// LossPercent is 100*(1-MeanFidelity), matching the paper's y-axis.
+	// WorstFidelity is the worst single session's fidelity.
+	MeanFidelity  float64
+	LossPercent   float64
+	WorstFidelity float64
 	// Shards is the shard count; BytesPerSession the measured resident
 	// session-state footprint divided by the population.
 	Shards          int
@@ -102,7 +163,26 @@ type Stats struct {
 
 // String renders the stats as a one-line summary.
 func (s Stats) String() string {
-	return fmt.Sprintf("%s shards=%d bytes/session=%.0f", s.Stats.String(), s.Shards, s.BytesPerSession)
+	return fmt.Sprintf("sessions=%d clientLoss=%.2f%% redirects=%d migrations=%d delivered=%d filtered=%d shards=%d bytes/session=%.0f",
+		s.Sessions, s.LossPercent, s.Redirects, s.Migrations, s.Delivered, s.Filtered, s.Shards, s.BytesPerSession)
+}
+
+// ParseSessionPlan builds a session churn plan from a spec string, sized
+// to a population of `sessions` clients over `ticks` trace ticks. It
+// reuses the resilience fault-plan grammar with sessions standing in for
+// repositories:
+//
+//	"" | "none"                no churn
+//	crash:<i>@<tick>[+<down>]  session i departs at the tick (and
+//	                           re-arrives <down> ticks later)
+//	churn:<rate>[:<meandown>]  seeded Poisson churn: <rate> expected
+//	                           departures per 100 ticks across the
+//	                           population, each away for an exponential
+//	                           time with mean <meandown> ticks
+//
+// The same spec, sizes and seed always yield the same plan.
+func ParseSessionPlan(spec string, sessions, ticks int, interval sim.Time, seed int64) (*resilience.Plan, error) {
+	return resilience.ParsePlan(spec, sessions, ticks, interval, seed)
 }
 
 // watchRef addresses one watch entry: shard index + index into the
@@ -132,8 +212,7 @@ type shard struct {
 	wHave   []float64
 	wSeeded []bool
 
-	// Per-watch fidelity meter (serve.meter, flattened; the source copy
-	// is global in Fleet.src).
+	// Per-watch fidelity meter (the source copy is global in Fleet.src).
 	wInViol   []bool
 	wAttached []bool
 	wLast     []sim.Time
@@ -160,9 +239,18 @@ type event struct {
 	depart bool
 }
 
-// Fleet is the virtual-session fleet. Like serve.Fleet it is
-// single-threaded (Workers only parallelizes internally): populate,
-// Seed, run the simulation with the fleet as its observer, Finalize.
+// Fleet is the population of sessions served by the repositories of one
+// run. It implements the dissemination and resilience run observers:
+// source ticks keep every session's reference signal current, repository
+// deliveries fan out to that repository's sessions through the
+// per-client filters, crashes migrate the dead repository's sessions, and
+// the churn plan's departures and arrivals interleave with all of it in
+// simulation order.
+//
+// A Fleet is single-threaded, like the simulation engine driving it
+// (Workers only parallelizes internally): AttachAll or Populate the
+// population, Seed the initial values once the overlay is built, run the
+// simulation with the fleet as its observer, then Finalize.
 type Fleet struct {
 	net   *netsim.Network
 	repos []*repository.Repository
@@ -188,11 +276,19 @@ type Fleet struct {
 	byItem [][]watchRef
 	post   [][][][]watchRef
 
+	// shards holds Options.Shards client shards plus, last, the query
+	// shard: query session i is session i of that shard.
 	shards []shard
-	// order is every created session in population order (the churn
-	// plan's index space and the fidelity aggregation order).
+	// order is every created client session in population order (the
+	// churn plan's index space and the fidelity aggregation order).
 	order  []uint64
 	byName map[string]uint64
+
+	// Query sessions (see queries.go): qOwner maps a query-shard watch to
+	// its query, qByItem an item to the queries watching it.
+	queries []*QuerySession
+	qOwner  []uint32
+	qByItem [][]*QuerySession
 
 	events []event
 	next   int
@@ -201,12 +297,14 @@ type Fleet struct {
 	par   *parallel
 }
 
-// NewFleet builds an empty virtual fleet over the repository population
-// (ids 1..n matching the network's endpoints). Item catalogue and
-// sessions are added by AttachAll or Populate.
+// NewFleet builds an empty fleet over the repository population (ids
+// 1..n matching the network's endpoints). The fleet keeps the pointers,
+// so serving sets derived and augmented later are visible to admission
+// and migration. Item catalogue and sessions are added by AttachAll,
+// Populate and AttachQueries.
 func NewFleet(net *netsim.Network, repos []*repository.Repository, opts Options) (*Fleet, error) {
 	if opts.Shards <= 0 {
-		opts.Shards = 8
+		opts.Shards = max(opts.Workers, 1)
 	}
 	if opts.Interval <= 0 {
 		opts.Interval = 1
@@ -222,7 +320,7 @@ func NewFleet(net *netsim.Network, repos []*repository.Repository, opts Options)
 		sessCnt: make([]int, len(repos)),
 		roster:  make([][]rosterEntry, len(repos)),
 		seqs:    make([]uint64, len(repos)),
-		shards:  make([]shard, opts.Shards),
+		shards:  make([]shard, opts.Shards+1),
 		byName:  make(map[string]uint64),
 	}
 	for i, r := range repos {
@@ -232,7 +330,7 @@ func NewFleet(net *netsim.Network, repos []*repository.Repository, opts Options)
 		f.alive[i] = true
 	}
 	f.ix = place.New(net, len(repos), place.Options{RingSlots: opts.RingSlots, RingAfter: opts.RingAfter})
-	f.post = make([][][][]watchRef, opts.Shards)
+	f.post = make([][][][]watchRef, len(f.shards))
 	for s := range f.post {
 		f.post[s] = make([][][]watchRef, len(repos))
 	}
@@ -261,6 +359,9 @@ func NewFleet(net *netsim.Network, repos []*repository.Repository, opts Options)
 // Index exposes the placement index (test instrumentation).
 func (f *Fleet) Index() *place.Index { return f.ix }
 
+// queryShard is the index of the shard holding the query sessions.
+func (f *Fleet) queryShard() uint32 { return uint32(f.opts.Shards) }
+
 // item interns an item name.
 func (f *Fleet) item(name string) uint32 {
 	id, ok := f.itemID[name]
@@ -270,14 +371,10 @@ func (f *Fleet) item(name string) uint32 {
 		f.itemName = append(f.itemName, name)
 		f.src = append(f.src, 0)
 		f.byItem = append(f.byItem, nil)
+		f.qByItem = append(f.qByItem, nil)
 		for r := range f.values {
 			f.values[r] = append(f.values[r], 0)
 			f.valSet[r] = append(f.valSet[r], false)
-		}
-		for s := range f.post {
-			for r := range f.post[s] {
-				f.post[s][r] = append(f.post[s][r], nil)
-			}
 		}
 	}
 	return id
@@ -288,10 +385,9 @@ func handle(sh, idx uint32) uint64 { return uint64(sh)<<32 | uint64(idx) }
 
 func split(h uint64) (sh, idx uint32) { return uint32(h >> 32), uint32(h) }
 
-// create appends one detached session to its shard and returns the
+// create appends one detached session to shard shi and returns the
 // handle. items must be sorted by name; tols parallel.
-func (f *Fleet) create(name string, hash uint32, home repository.ID, items []uint32, tols []coherency.Requirement) uint64 {
-	shi := hash % uint32(len(f.shards))
+func (f *Fleet) create(shi uint32, name string, hash uint32, home repository.ID, items []uint32, tols []coherency.Requirement) uint64 {
 	sh := &f.shards[shi]
 	idx := uint32(len(sh.hash))
 	h := handle(shi, idx)
@@ -322,13 +418,10 @@ func (f *Fleet) create(name string, hash uint32, home repository.ID, items []uin
 		sh.wPos = append(sh.wPos, 0)
 		f.byItem[it] = append(f.byItem[it], watchRef{sh: shi, wi: wi})
 	}
-	f.order = append(f.order, h)
-	f.stats.Sessions++
 	return h
 }
 
-// advance accounts [wLast, now) against the watch's current meter state
-// — serve.meter.advance, flattened.
+// advance accounts [wLast, now) against the watch's current meter state.
 func (sh *shard) advance(wi uint32, now sim.Time) {
 	if sh.wAttached[wi] {
 		d := now - sh.wLast[wi]
@@ -340,8 +433,9 @@ func (sh *shard) advance(wi uint32, now sim.Time) {
 	sh.wLast[wi] = now
 }
 
-// deliverWatch is serve.meter.deliver: advance, move the client copy,
-// refresh the violation flag against the global source value.
+// deliverWatch records a value delivered to the client: advance the
+// meter, move the client copy, refresh the violation flag against the
+// global source value.
 func (f *Fleet) deliverWatch(sh *shard, wi uint32, now sim.Time, v float64) {
 	sh.advance(wi, now)
 	sh.wHave[wi] = v
@@ -349,7 +443,7 @@ func (f *Fleet) deliverWatch(sh *shard, wi uint32, now sim.Time, v float64) {
 	sh.wInViol[wi] = sh.wTol[wi].Violated(f.src[sh.wItem[wi]], v)
 }
 
-// CanServe reports whether the repository serves every watched item of
+// canServe reports whether the repository serves every watched item of
 // the session at least as stringently as demanded — node.Core's
 // CanServeSession over flat state.
 func (f *Fleet) canServe(id repository.ID, sh *shard, i uint32) bool {
@@ -374,8 +468,13 @@ func (f *Fleet) HasRoom(id repository.ID) bool {
 }
 func (f *Fleet) Load(id repository.ID) int { return f.sessCnt[id-1] }
 
-// place asks the index for the session's repository — the same two-pass
-// policy as serve.Fleet.place.
+// place asks the shared placement index for the repository to serve the
+// session, or NoID when none qualifies. Initial placement (before
+// repository needs exist) requires only liveness and cap room, falling
+// back to the least-loaded live repository when every one is full; later
+// placements (migration, re-arrival) first require the candidate to
+// serve every watched item at the client's tolerance, then drop that
+// requirement rather than strand the session.
 func (f *Fleet) place(sh *shard, shi, i uint32, initial bool) repository.ID {
 	var serves func(repository.ID) bool
 	if !initial {
@@ -391,11 +490,17 @@ func (f *Fleet) place(sh *shard, shi, i uint32, initial bool) repository.ID {
 
 // attach wires the session onto the repository: meters resume, postings
 // gain its watches, and the repository resyncs it to its current copies
-// (skipping values the session provably already holds) — serve.Fleet's
-// attach + node.Core.ForceAdmit in one pass.
+// (skipping values the session provably already holds) — the same
+// admission resync as node.Core.ForceAdmit, in one pass.
 func (f *Fleet) attach(h uint64, id repository.ID, now sim.Time) {
 	shi, i := split(h)
 	sh := &f.shards[shi]
+	var qs *QuerySession
+	if shi == f.queryShard() {
+		qs = f.queries[i]
+		qs.attached = true
+		qs.gate(now)
+	}
 	sh.repo[i] = int32(id)
 	sh.orphan[i] = false
 	sh.seq[i] = f.seqs[id-1]
@@ -407,6 +512,14 @@ func (f *Fleet) attach(h uint64, id repository.ID, now sim.Time) {
 	resyncs := 0
 	off, n := sh.wOff[i], uint32(sh.wLen[i])
 	posts := f.post[shi][id-1]
+	if items := len(f.itemName); len(posts) < items {
+		// Postings are sized to the item catalogue on first use, so
+		// (shard, repository) pairs no session attaches to cost nothing.
+		grown := make([][]watchRef, items)
+		copy(grown, posts)
+		posts = grown
+		f.post[shi][id-1] = posts
+	}
 	vals, set := f.values[id-1], f.valSet[id-1]
 	for wi := off; wi < off+n; wi++ {
 		sh.advance(wi, now)
@@ -426,8 +539,13 @@ func (f *Fleet) attach(h uint64, id repository.ID, now sim.Time) {
 		}
 		f.deliverWatch(sh, wi, now, v)
 		resyncs++
+		if qs != nil {
+			f.queryDeliver(qs, now, f.itemName[it], v, true)
+		}
 	}
-	f.stats.Resyncs += resyncs
+	if qs == nil {
+		f.stats.Resyncs += resyncs
+	}
 	o.Resync(resyncs)
 }
 
@@ -460,26 +578,35 @@ func (f *Fleet) detach(h uint64, now sim.Time, dead bool) {
 		f.shards[last.sh].wPos[last.wi] = pos
 		posts[it] = lst[:len(lst)-1]
 	}
+	if shi == f.queryShard() {
+		qs := f.queries[i]
+		qs.attached = false
+		qs.gate(now)
+	}
 }
 
-// admit creates and initially places one session, charging redirects as
-// serve.Fleet.Attach does. detached creates the session outside the
-// system (a flash-crowd member awaiting its arrival event).
+// admit creates one client session and initially places it, charging a
+// redirect when it lands on other than its nearest repository. detached
+// creates the session outside the system (a flash-crowd member awaiting
+// its arrival event).
 func (f *Fleet) admit(name string, hash uint32, home repository.ID, items []uint32, tols []coherency.Requirement, detached bool) (uint64, error) {
-	h := f.create(name, hash, home, items, tols)
+	h := f.create(hash%uint32(f.opts.Shards), name, hash, home, items, tols)
+	f.order = append(f.order, h)
+	f.stats.Sessions++
 	if detached {
 		return h, nil
 	}
-	shi, i := split(h)
-	sh := &f.shards[shi]
-	target := f.place(sh, shi, i, true)
-	if target == repository.NoID {
-		return h, fmt.Errorf("vserve: no repository to place session %q on", name)
+	target, err := f.placeNew(h, name)
+	if err != nil {
+		return h, err
 	}
-	f.attach(h, target, 0)
 	order := f.ix.Order(home)
 	if target != order[0] {
 		f.stats.Redirects++
+		// The redirect is charged to the nearest repository (the one that
+		// turned the client away); its latency is the admission walk's
+		// cost — a round trip to every candidate tried, the target
+		// included.
 		if on := f.opts.Obs.Node(order[0]); on != nil {
 			var lat sim.Time
 			for _, cand := range order {
@@ -495,10 +622,40 @@ func (f *Fleet) admit(name string, hash uint32, home repository.ID, items []uint
 	return h, nil
 }
 
-// AttachAll admits a concrete client population (the parity path): each
-// client becomes a virtual session, and the client's Repo is rewritten
-// to its placement exactly as serve.Fleet.AttachAll does, so
-// repository.DeriveNeeds sees where each client actually landed.
+// placeNew places a freshly created session and attaches it at time 0.
+func (f *Fleet) placeNew(h uint64, name string) (repository.ID, error) {
+	shi, i := split(h)
+	target := f.place(&f.shards[shi], shi, i, true)
+	if target == repository.NoID {
+		return target, fmt.Errorf("vserve: no repository to place session %q on", name)
+	}
+	f.attach(h, target, 0)
+	return target, nil
+}
+
+// watchList interns a watch list's items in name order, with the
+// tolerances parallel — the item-sorted layout create expects.
+func (f *Fleet) watchList(wants map[string]coherency.Requirement) ([]uint32, []coherency.Requirement) {
+	names := make([]string, 0, len(wants))
+	for x := range wants {
+		names = append(names, x)
+	}
+	sort.Strings(names)
+	items := make([]uint32, len(names))
+	tols := make([]coherency.Requirement, len(names))
+	for k, x := range names {
+		items[k] = f.item(x)
+		tols[k] = wants[x]
+	}
+	return items, tols
+}
+
+// AttachAll admits a concrete client population in order: each client
+// is placed on the nearest repository (by delay from its home endpoint,
+// Client.Repo as generated) under the session cap, redirecting to the
+// next candidate when full. The client's Repo is rewritten to the
+// placement, so repository.DeriveNeeds over the population afterwards
+// sees where each client actually landed.
 func (f *Fleet) AttachAll(clients []*repository.Client) error {
 	for _, c := range clients {
 		if err := c.Validate(); err != nil {
@@ -510,17 +667,7 @@ func (f *Fleet) AttachAll(clients []*repository.Client) error {
 		if _, dup := f.byName[c.Name]; dup {
 			return fmt.Errorf("vserve: duplicate session %q", c.Name)
 		}
-		names := make([]string, 0, len(c.Wants))
-		for x := range c.Wants {
-			names = append(names, x)
-		}
-		sort.Strings(names)
-		items := make([]uint32, len(names))
-		tols := make([]coherency.Requirement, len(names))
-		for k, x := range names {
-			items[k] = f.item(x)
-			tols[k] = c.Wants[x]
-		}
+		items, tols := f.watchList(c.Wants)
 		h, err := f.admit(c.Name, place.Key(c.Name), c.Repo, items, tols, false)
 		if err != nil {
 			return err
@@ -533,7 +680,7 @@ func (f *Fleet) AttachAll(clients []*repository.Client) error {
 }
 
 // DeriveNeeds computes every repository's data and coherency needs from
-// the registered virtual population — repository.DeriveNeeds without
+// the registered client population — repository.DeriveNeeds without
 // materializing a client slice. Attached sessions count against their
 // serving repository; detached scenario sessions (the flash crowd)
 // against their home endpoint, so the overlay is provisioned for demand
@@ -570,16 +717,15 @@ func (f *Fleet) DeriveNeeds() {
 
 // Seed initializes the source signal, every repository's copy of the
 // items it holds, and every session's copy, as if all clients joined
-// fully synchronized — serve.Fleet.Seed over flat state.
+// fully synchronized. Call it after the overlay is built (serving sets
+// are final) and before the run. Sessions attached after Seed are
+// resynced to the repositories' seeded copies on admission.
 func (f *Fleet) Seed(initial map[string]float64) {
 	for x, v := range initial {
-		id, ok := f.itemID[x]
-		if !ok {
-			continue
-		}
+		id := f.item(x)
 		f.src[id] = v
 		for r, repo := range f.repos {
-			if repo.IsSource() || holds(repo, x) {
+			if _, held := repo.Serving[x]; held || repo.IsSource() {
 				f.values[r][id] = v
 				f.valSet[r][id] = true
 			}
@@ -595,15 +741,10 @@ func (f *Fleet) Seed(initial map[string]float64) {
 			}
 		}
 	}
+	f.seedQueries(initial)
 }
 
-func holds(r *repository.Repository, item string) bool {
-	_, ok := r.Serving[item]
-	return ok
-}
-
-// catchUp executes every scheduled churn event due at or before now —
-// serve.Fleet.catchUp with handles for sessions.
+// catchUp executes every scheduled churn event due at or before now.
 func (f *Fleet) catchUp(now sim.Time) {
 	for f.next < len(f.events) && f.events[f.next].at <= now {
 		e := f.events[f.next]
@@ -638,8 +779,7 @@ func (f *Fleet) catchUp(now sim.Time) {
 
 // ObserveSource keeps every watching session's reference signal current:
 // the global source copy moves once, and each watcher's meter advances
-// and refreshes its violation flag — attached or not, exactly as
-// serve.meter.srcUpdate does.
+// and refreshes its violation flag, attached or not.
 func (f *Fleet) ObserveSource(now sim.Time, item string, v float64) {
 	f.catchUp(now)
 	id, ok := f.itemID[item]
@@ -652,13 +792,17 @@ func (f *Fleet) ObserveSource(now sim.Time, item string, v float64) {
 		sh.advance(ref.wi, now)
 		sh.wInViol[ref.wi] = sh.wTol[ref.wi].Violated(v, sh.wHave[ref.wi])
 	}
+	f.observeQuerySource(now, id, v)
 }
 
 // ObserveDeliver fans a repository's delivery out to its attached
-// watchers through the per-client filter (Eqs. 3+7 with the repository's
-// serving tolerance as cSelf, first-push rule for unseeded edges) —
-// node.Core.Apply + fanToSessions over postings. The steady-state path
-// allocates nothing.
+// watchers through the per-client filter: Eqs. 3+7 with the repository's
+// own serving tolerance as cSelf, and the first-push rule for unseeded
+// edges — node.Core.Apply's session fan-out over postings. Eq. 3 alone
+// would let a client silently drift by up to its tolerance plus the
+// repository's; Eq. 7 forwards the risky updates too, so a coherent
+// repository implies coherent clients. Filtered decisions are the fan-out
+// work the serving layer saves. The steady-state path allocates nothing.
 func (f *Fleet) ObserveDeliver(now sim.Time, repo repository.ID, item string, v float64) {
 	f.catchUp(now)
 	id, ok := f.itemID[item]
@@ -678,7 +822,7 @@ func (f *Fleet) ObserveDeliver(now sim.Time, repo repository.ID, item string, v 
 	if f.par != nil {
 		delivered, filtered = f.par.deliver(f, repo, id, now, v, cSelf)
 	} else {
-		for s := range f.shards {
+		for s := 0; s < f.opts.Shards; s++ {
 			d, fl := f.deliverShard(uint32(s), repo, id, now, v, cSelf)
 			delivered += d
 			filtered += fl
@@ -686,14 +830,25 @@ func (f *Fleet) ObserveDeliver(now sim.Time, repo repository.ID, item string, v 
 	}
 	f.stats.Delivered += uint64(delivered)
 	f.stats.Filtered += uint64(filtered)
+	if len(f.queries) > 0 {
+		d, fl := f.deliverShard(f.queryShard(), repo, id, now, v, cSelf)
+		delivered += d
+		filtered += fl
+	}
 	o.SessPass(delivered, filtered)
 }
 
-// deliverShard filters one shard's postings for (repo, item).
+// deliverShard filters one shard's postings for (repo, item); deliveries
+// to the query shard also run the owning query's evaluator.
 func (f *Fleet) deliverShard(shi uint32, repo repository.ID, id uint32, now sim.Time, v float64, cSelf coherency.Requirement) (delivered, filtered int) {
 	sh := &f.shards[shi]
 	src := f.src[id]
-	for _, ref := range f.post[shi][repo-1][id] {
+	queries := shi == f.queryShard()
+	posts := f.post[shi][repo-1]
+	if int(id) >= len(posts) {
+		return 0, 0
+	}
+	for _, ref := range posts[id] {
 		wi := ref.wi
 		if sh.wSeeded[wi] && !coherency.ShouldForward(v, sh.wHave[wi], sh.wTol[wi], cSelf) {
 			filtered++
@@ -704,14 +859,18 @@ func (f *Fleet) deliverShard(shi uint32, repo repository.ID, id uint32, now sim.
 		sh.wSeeded[wi] = true
 		sh.wInViol[wi] = sh.wTol[wi].Violated(src, v)
 		delivered++
+		if queries {
+			f.queryDeliver(f.queries[f.qOwner[wi]], now, f.itemName[id], v, false)
+		}
 	}
 	return delivered, filtered
 }
 
 // ObserveCrash migrates the dead repository's sessions in attach order
-// onto the nearest live alternative (preferring ones already serving
-// their items), orphaning those that find no room — serve's crash path
-// over the roster.
+// (so capacity contention resolves exactly as it arrived) onto the
+// nearest live alternative, preferring ones already serving their items
+// and resyncing each to its new repository's current copy. Sessions that
+// find no room are orphaned and retry when a repository rejoins.
 func (f *Fleet) ObserveCrash(now sim.Time, id repository.ID) {
 	f.catchUp(now)
 	f.alive[id-1] = false
@@ -742,28 +901,65 @@ func (f *Fleet) ObserveCrash(now sim.Time, id repository.ID) {
 }
 
 // ObserveRejoin marks the repository live again and retries orphaned
-// sessions in population order against the enlarged candidate set.
+// sessions — clients in population order, then queries — against the
+// enlarged candidate set.
 func (f *Fleet) ObserveRejoin(now sim.Time, id repository.ID) {
 	f.catchUp(now)
 	f.alive[id-1] = true
 	for _, h := range f.order {
-		shi, i := split(h)
-		sh := &f.shards[shi]
-		if !sh.orphan[i] {
-			continue
-		}
-		if target := f.place(sh, shi, i, false); target != repository.NoID {
-			f.attach(h, target, now)
-			f.stats.Migrations++
-			f.opts.Obs.Node(target).Migrate1()
-		}
+		f.rehome(h, now)
+	}
+	for _, qs := range f.queries {
+		f.rehome(qs.h, now)
 	}
 }
 
-// SessionCount returns the created population size.
+// rehome retries one orphaned session's placement.
+func (f *Fleet) rehome(h uint64, now sim.Time) {
+	shi, i := split(h)
+	sh := &f.shards[shi]
+	if !sh.orphan[i] {
+		return
+	}
+	if target := f.place(sh, shi, i, false); target != repository.NoID {
+		f.attach(h, target, now)
+		f.stats.Migrations++
+		f.opts.Obs.Node(target).Migrate1()
+	}
+}
+
+// SessionCount returns the created client population size.
 func (f *Fleet) SessionCount() int { return len(f.order) }
 
-// Attached returns how many sessions are currently attached.
+// SessionRepo returns the repository serving client session idx
+// (population order), or NoID while it is detached.
+func (f *Fleet) SessionRepo(idx int) repository.ID { return f.repoOf(f.order[idx]) }
+
+// repoOf returns the repository serving session h, or NoID.
+func (f *Fleet) repoOf(h uint64) repository.ID {
+	shi, i := split(h)
+	if r := f.shards[shi].repo[i]; r > 0 {
+		return repository.ID(r)
+	}
+	return repository.NoID
+}
+
+// SessionValue returns client session idx's current copy of item, and
+// false when the session does not watch the item.
+func (f *Fleet) SessionValue(idx int, item string) (float64, bool) {
+	shi, i := split(f.order[idx])
+	sh := &f.shards[shi]
+	off, n := sh.wOff[i], uint32(sh.wLen[i])
+	for wi := off; wi < off+n; wi++ {
+		if f.itemName[sh.wItem[wi]] == item {
+			return sh.wHave[wi], true
+		}
+	}
+	return 0, false
+}
+
+// Attached returns how many sessions (queries included) are currently
+// attached.
 func (f *Fleet) Attached() int {
 	n := 0
 	for _, c := range f.sessCnt {
@@ -772,8 +968,11 @@ func (f *Fleet) Attached() int {
 	return n
 }
 
-// SessionFidelity returns one session's client-observed fidelity at now
-// (population index order). Vacuous observation reports 1.
+// SessionFidelity returns one client session's observed fidelity at now
+// (population index order): the mean over watched items of the fraction
+// of attached time the client's copy was within its own tolerance of the
+// source. A session that was never attached observed nothing and reports
+// 1 (vacuous).
 func (f *Fleet) SessionFidelity(idx int, now sim.Time) float64 {
 	shi, i := split(f.order[idx])
 	sh := &f.shards[shi]
@@ -781,19 +980,10 @@ func (f *Fleet) SessionFidelity(idx int, now sim.Time) float64 {
 	var n int
 	off, cnt := sh.wOff[i], uint32(sh.wLen[i])
 	for wi := off; wi < off+cnt; wi++ {
-		span, viol := sh.wSpan[wi], sh.wViol[wi]
-		if sh.wAttached[wi] && now > sh.wLast[wi] {
-			d := now - sh.wLast[wi]
-			span += d
-			if sh.wInViol[wi] {
-				viol += d
-			}
+		if fid, ok := sh.fidelity(wi, now); ok {
+			sum += fid
+			n++
 		}
-		if span <= 0 {
-			continue
-		}
-		sum += 1 - float64(viol)/float64(span)
-		n++
 	}
 	if n == 0 {
 		return 1
@@ -801,8 +991,25 @@ func (f *Fleet) SessionFidelity(idx int, now sim.Time) float64 {
 	return sum / float64(n)
 }
 
-// PerSessionFidelity returns every session's fidelity at the horizon, in
-// population order — the parity test's comparison vector.
+// fidelity returns one watch's attached-time fidelity up to now, and
+// false when it never observed any attached time.
+func (sh *shard) fidelity(wi uint32, now sim.Time) (float64, bool) {
+	span, viol := sh.wSpan[wi], sh.wViol[wi]
+	if sh.wAttached[wi] && now > sh.wLast[wi] {
+		d := now - sh.wLast[wi]
+		span += d
+		if sh.wInViol[wi] {
+			viol += d
+		}
+	}
+	if span <= 0 {
+		return 1, false
+	}
+	return 1 - float64(viol)/float64(span), true
+}
+
+// PerSessionFidelity returns every client session's fidelity at the
+// horizon, in population order.
 func (f *Fleet) PerSessionFidelity(horizon sim.Time) []float64 {
 	out := make([]float64, len(f.order))
 	for i := range out {
@@ -960,8 +1167,7 @@ func (f *Fleet) Populate(cfg Synthetic) error {
 			// Restore the scratch permutation (order within the prefix is
 			// enough; contents are intact by construction).
 		}
-		name = append(name[:0], "vclient"...)
-		name = appendInt(name, i)
+		name = strconv.AppendInt(append(name[:0], "vclient"...), int64(i), 10)
 		hash := fnv1a(name)
 		detached := sc != nil && i < len(sc.StartDetached) && sc.StartDetached[i]
 		if _, err := f.admit("", hash, home, items, tols, detached); err != nil {
@@ -969,21 +1175,6 @@ func (f *Fleet) Populate(cfg Synthetic) error {
 		}
 	}
 	return nil
-}
-
-// appendInt appends the decimal digits of v.
-func appendInt(b []byte, v int) []byte {
-	if v == 0 {
-		return append(b, '0')
-	}
-	var tmp [20]byte
-	p := len(tmp)
-	for v > 0 {
-		p--
-		tmp[p] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(b, tmp[p:]...)
 }
 
 // fnv1a is place.Key over bytes.

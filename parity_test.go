@@ -33,10 +33,10 @@ import (
 	"d3t/internal/node"
 	"d3t/internal/query"
 	"d3t/internal/repository"
-	"d3t/internal/serve"
 	"d3t/internal/sim"
 	"d3t/internal/trace"
 	"d3t/internal/tree"
+	"d3t/internal/vserve"
 
 	ilive "d3t/internal/live"
 )
@@ -241,7 +241,7 @@ func TestCrossBackendQueryParity(t *testing.T) {
 	// Seed BEFORE attaching the query, so the admission resync delivers
 	// the seeded copies through the counted path — exactly what a
 	// live/netio subscribe against a seeded cluster does.
-	fleet, err := serve.NewFleet(o.Net, o.Repos(), serve.Options{Queries: []query.Query{q}, Interval: 1})
+	fleet, err := vserve.NewFleet(o.Net, o.Repos(), vserve.Options{Queries: []query.Query{q}, Interval: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +250,8 @@ func TestCrossBackendQueryParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := fleet.QuerySession(q.Name)
-	if qs.Session().Repo != 1 {
-		t.Fatalf("sim query landed at %v, want repository 1", qs.Session().Repo)
+	if qs.Repo() != 1 {
+		t.Fatalf("sim query landed at %v, want repository 1", qs.Repo())
 	}
 	if _, err := dissemination.Run(o, traces, dissemination.NewDistributed(), dissemination.Config{Observer: fleet}); err != nil {
 		t.Fatal(err)
